@@ -21,7 +21,6 @@ from .model import (
 from .classical import (
     ClassicalEnsemble,
     FluxEstimate,
-    PoincareSection,
     cantorus_flux,
     drift_segment,
     evolve_ensemble,
@@ -44,7 +43,6 @@ from .quantum import (
 from .wigner import WignerGrid, coarse_grain, negativity_volume, toroidal_wigner
 from .analysis import (
     TransportCurve,
-    continued_fraction,
     fraction_outside_classical,
     fraction_outside_quantum,
     kinetic_energy,

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,20 +27,6 @@ class TransportCurve:
             raise ParameterError("kicks and fraction_outside must have equal lengths")
         if np.any((self.fraction_outside < -1e-12) | (self.fraction_outside > 1 + 1e-12)):
             raise ParameterError("fractions must lie in [0, 1]")
-
-    def export(self, path) -> None:
-        header = "transport curve: fraction outside |rho| = {:.6g} ({})\n".format(
-            self.boundary, self.source
-        )
-        header += " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        header += "\nkick fraction_outside"
-        np.savetxt(
-            path,
-            np.column_stack([self.kicks, self.fraction_outside]),
-            header=header,
-            comments="# ",
-            fmt=["%d", "%.10g"],
-        )
 
 
 def fraction_outside_classical(ensemble: ClassicalEnsemble, boundary: float) -> float:
@@ -94,35 +78,3 @@ def kinetic_energy_quantum(populations: np.ndarray, hbar_k: float) -> float:
     N = populations.size
     n = np.arange(-N // 2, N // 2)
     return float(np.sum(populations * 0.5 * (n * hbar_k) ** 2))
-
-
-def continued_fraction(w: float, depth: int) -> list[int]:
-    """Leading terms [a0, a1, ...] of the continued-fraction expansion of w.
-
-    Stops early if the remainder is exhausted (rational input) or the next
-    term exceeds what float precision supports.
-    """
-    if depth < 1:
-        raise ParameterError(f"depth must be >= 1, got {depth}")
-    terms = []
-    x = float(w)
-    for _ in range(depth):
-        a = math.floor(x)
-        terms.append(int(a))
-        frac = x - a
-        if frac < 1e-12:
-            break
-        x = 1.0 / frac
-        if x > 1e12:
-            break
-    return terms
-
-
-def convergent(terms: list[int]) -> Fraction:
-    """Rational value of a finite continued fraction."""
-    if not terms:
-        raise ParameterError("empty continued fraction")
-    value = Fraction(terms[-1])
-    for a in reversed(terms[:-1]):
-        value = a + (Fraction(1) / value if value != 0 else Fraction(0))
-    return value

@@ -72,18 +72,6 @@ class TrajectoryRecord:
     phi: np.ndarray          # (n_snapshots, n_trajectories)
     rho: np.ndarray          # (n_snapshots, n_trajectories)
 
-    def ensemble_at(self, kick: int) -> ClassicalEnsemble:
-        i = int(np.flatnonzero(self.kicks == kick)[0])
-        return ClassicalEnsemble(self.phi[i].copy(), self.rho[i].copy())
-
-
-@dataclass
-class PoincareSection:
-    """Stroboscopic (phi, rho) points of a set of seed orbits."""
-
-    points: np.ndarray       # (n_points, 2)
-    kick_strength: float
-
 
 @dataclass
 class FluxEstimate:
@@ -259,8 +247,8 @@ def poincare_section(
     train: PulseTrain,
     n_kicks: int,
     method: str = "elliptic",
-) -> PoincareSection:
-    """Iterate the stroboscopic map for each seed and collect all points."""
+) -> np.ndarray:
+    """Iterate the stroboscopic map for each seed; returns all (phi, rho) points, shape (n_points, 2)."""
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     if seeds.size == 0:
         raise ParameterError("need at least one seed")
@@ -270,13 +258,7 @@ def poincare_section(
     for _ in range(n_kicks):
         phi, rho = kick_cycle(phi, rho, k, train, method=method)
         pts.append(np.column_stack([phi, rho]))
-    return PoincareSection(np.concatenate(pts, axis=0), float(np.mean(k)))
-
-
-def snapshot_export(path, phi, rho, header: str = ""):
-    """Write one row per trajectory: phi rho."""
-    data = np.column_stack([phi, rho])
-    np.savetxt(path, data, header=header or "phi rho", comments="# ")
+    return np.concatenate(pts, axis=0)
 
 
 def cantorus_flux(

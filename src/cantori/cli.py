@@ -1,10 +1,11 @@
 """Scenario runner: config parsing, named experiments, provenance manifest.
 
 Configs are flat key-value INI text.  The [run] section names the scenario
-and output root, [params] carries the dimensionless run parameters, and an
-optional section named after the scenario carries its extra knobs.  An
-optional [physical] section derives kick_strength and scaled_planck from
-laboratory parameters, overriding the [params] values.
+and output root, [params] carries the SimParams fields, and an optional
+section named after the scenario carries the options SCENARIOS lists for it.
+An optional [physical] section derives kick_strength and scaled_planck from
+laboratory parameters, overriding the [params] values.  Unknown sections and
+keys are rejected, and every option is parsed before anything runs.
 
 All outputs of one run land in a single directory named by timestamp plus a
 digest of the canonical config; a manifest.json listing every output file
@@ -21,23 +22,17 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .model import (
-    ParameterError,
-    PhysicalParams,
-    SimParams,
-    physical_to_scaled,
-)
+from .model import ParameterError, PhysicalParams, SimParams, physical_to_scaled
 from . import analysis, classical, quantum, wigner
-
-TWO_PI = 2.0 * np.pi
 
 DEFAULT_CONFIG = """\
 # Default run configuration (caesium double-pulse experiment values).
@@ -80,17 +75,20 @@ n_seeds = 100000
 n_replicates = 8
 """
 
-SCENARIOS = {
-    "transport": "fraction outside the KAM boundary vs kick number, classical + quantum eta sweep",
-    "waterfall": "per-kick quantum momentum distributions",
-    "poincare": "stroboscopic phase-space section of the classical map",
-    "wigner": "coarse-grained toroidal Wigner snapshots and negativity, per eta",
-    "flux": "classical phase-space flux through the KAM boundary",
-}
-
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
+
+
+class Option(NamedTuple):
+    parse: Callable[[str], object]
+    fallback: str       # text taken when the option is absent or empty; "{n_kicks}" names a SimParams field
+
+
+class Scenario(NamedTuple):
+    run: Callable[[RunConfig, Path, dict], None]
+    description: str
+    options: dict[str, Option]
 
 
 @dataclass
@@ -98,28 +96,20 @@ class RunConfig:
     scenario: str
     output_dir: str
     params: SimParams
-    extra: dict = field(default_factory=dict)       # scenario-section options
+    extra: dict = field(default_factory=dict)       # scenario-section options, as written
     physical: PhysicalParams | None = None
+
+    def option(self, name: str):
+        """Parsed value of a scenario option, or of its fallback."""
+        spec = SCENARIOS[self.scenario].options[name]
+        text = self.extra.get(name) or spec.fallback.format_map(vars(self.params))
+        return _parse(f"[{self.scenario}] {name}", spec.parse, text)
 
     def canonical(self) -> str:
         """Normalized key=value text; equal configs give equal text."""
         lines = [f"scenario={self.scenario}", f"output_dir={self.output_dir}"]
-        p = self.params
-        lines += [
-            f"params.kick_strength={p.kick_strength!r}",
-            f"params.scaled_planck={p.scaled_planck!r}",
-            f"params.se_probability={p.se_probability!r}",
-            f"params.pulse_width={p.pulse_width}",
-            f"params.pulse_spacing={p.pulse_spacing}",
-            f"params.basis_size={p.basis_size}",
-            f"params.n_kicks={p.n_kicks}",
-            f"params.n_trajectories={p.n_trajectories}",
-            f"params.rng_seed={p.rng_seed}",
-            f"params.init_momentum_sigma={p.init_momentum_sigma!r}",
-            f"params.kick_spread_rms={p.kick_spread_rms!r}",
-        ]
-        for key in sorted(self.extra):
-            lines.append(f"{self.scenario}.{key}={self.extra[key]}")
+        lines += [f"params.{f.name}={getattr(self.params, f.name)}" for f in fields(SimParams)]
+        lines += [f"{self.scenario}.{key}={self.extra[key]}" for key in sorted(self.extra)]
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
@@ -143,11 +133,52 @@ class RunManifest:
         path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse(where: str, parse: Callable[[str], object], text: str):
     try:
-        return Fraction(text.strip())
+        return parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot parse fraction {text!r}: {exc}") from None
+        raise ConfigError(f"{where} = {text}: {exc}") from None
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.replace(",", " ").split())
+
+
+def _etas(text: str) -> tuple[float, ...]:
+    etas = _floats(text)
+    for e in etas:
+        if not 0.0 <= e <= 1.0:
+            raise ValueError(f"eta value {e} outside [0, 1]")
+    return etas
+
+
+def _kicks(text: str) -> tuple[int, ...]:
+    kicks = tuple(int(x) for x in text.replace(",", " ").split())
+    if not kicks or min(kicks) < 0:
+        raise ValueError("need one or more kick numbers >= 0")
+    return kicks
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError("must be a positive integer")
+    return n
+
+
+# Parsers keyed by the annotation text of the SimParams and PhysicalParams fields.
+_FIELD_PARSERS = {"float": float, "int": int, "Fraction": Fraction, "tuple[float, float, float]": _floats}
+
+
+def _read_fields(cp: configparser.ConfigParser, section: str, cls) -> dict:
+    """Parse the keys of [section], each of which names a field of the dataclass cls."""
+    if section not in cp:
+        return {}
+    types = {f.name: f.type for f in fields(cls)}
+    return {
+        key: _parse(f"[{section}] {key}", _FIELD_PARSERS[types[key]], text)
+        for key, text in cp[section].items()
+    }
 
 
 def parse_config(text: str) -> RunConfig:
@@ -157,6 +188,19 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
 
+    known = {
+        "run": ["scenario", "output_dir"],
+        "params": [f.name for f in fields(SimParams)],
+        "physical": [f.name for f in fields(PhysicalParams)],
+        **{name: list(sc.options) for name, sc in SCENARIOS.items()},
+    }
+    for section in cp.sections():
+        if section not in known:
+            raise ConfigError(f"unknown section [{section}]; known: {', '.join(known)}")
+        unknown = [key for key in cp[section] if key not in known[section]]
+        if unknown:
+            raise ConfigError(f"[{section}] unknown key {unknown[0]!r}; known: {', '.join(known[section])}")
+
     if "run" not in cp:
         raise ConfigError("missing [run] section")
     scenario = cp["run"].get("scenario", "").strip()
@@ -165,68 +209,26 @@ def parse_config(text: str) -> RunConfig:
     output_dir = cp["run"].get("output_dir", "runs").strip()
 
     physical = None
-    kick_strength = scaled_planck = None
+    values = {"kick_strength": 270.0, "scaled_planck": 2.6, **_read_fields(cp, "params", SimParams)}
     if "physical" in cp:
-        sec = cp["physical"]
         try:
-            physical = PhysicalParams(
-                rabi_frequency=sec.getfloat("rabi_frequency"),
-                detunings=tuple(float(x) for x in sec.get("detunings").split()),
-                wave_number=sec.getfloat("wave_number"),
-                atom_mass=sec.getfloat("atom_mass"),
-                pulse_period=sec.getfloat("pulse_period"),
-            )
-        except (TypeError, ValueError, ParameterError) as exc:
+            physical = PhysicalParams(**_read_fields(cp, "physical", PhysicalParams))
+        except (TypeError, ParameterError) as exc:
             raise ConfigError(f"[physical]: {exc}") from None
-        kick_strength, scaled_planck = physical_to_scaled(physical)
-
-    sec = cp["params"] if "params" in cp else {}
-
-    def fget(key, default, cast=float):
-        if key in sec:
-            try:
-                return cast(sec[key])
-            except ValueError as exc:
-                raise ConfigError(f"[params] {key}: {exc}") from None
-        return default
-
+        values.update(zip(("kick_strength", "scaled_planck"), physical_to_scaled(physical)))
     try:
-        params = SimParams(
-            kick_strength=kick_strength if kick_strength is not None else fget("kick_strength", 270.0),
-            scaled_planck=scaled_planck if scaled_planck is not None else fget("scaled_planck", 2.6),
-            se_probability=fget("se_probability", 0.0),
-            pulse_width=fget("pulse_width", Fraction(1, 20), _parse_fraction),
-            pulse_spacing=fget("pulse_spacing", Fraction(1, 10), _parse_fraction),
-            basis_size=fget("basis_size", 128, int),
-            n_kicks=fget("n_kicks", 70, int),
-            n_trajectories=fget("n_trajectories", 10_000, int),
-            rng_seed=fget("rng_seed", 0, int),
-            init_momentum_sigma=fget("init_momentum_sigma", 10.0),
-            kick_spread_rms=fget("kick_spread_rms", 0.0),
-        )
+        params = SimParams(**values)
     except ParameterError as exc:
         raise ConfigError(f"[params]: {exc}") from None
 
-    extra = dict(cp[scenario]) if scenario in cp else {}
-    return RunConfig(scenario, output_dir, params, extra, physical)
-
-
-def _eta_list(cfg: RunConfig) -> list[float]:
-    raw = cfg.extra.get("eta_values", "")
-    if not raw.strip():
-        return [cfg.params.se_probability]
-    try:
-        etas = [float(x) for x in raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"eta_values: {exc}") from None
-    for e in etas:
-        if not 0.0 <= e <= 1.0:
-            raise ConfigError(f"eta value {e} outside [0, 1]")
-    return etas
-
-
-def _boundary(cfg: RunConfig) -> float:
-    return float(cfg.extra.get("boundary_over_pi", 10.0)) * np.pi
+    cfg = RunConfig(scenario, output_dir, params, dict(cp[scenario]) if scenario in cp else {}, physical)
+    for name in SCENARIOS[scenario].options:
+        cfg.option(name)
+    # Beyond the last ladder site the quantum fraction outside reads 0 by construction.
+    edge = params.basis_size / 2 * params.scaled_planck
+    if scenario == "transport" and cfg.option("boundary_over_pi") * np.pi >= edge:
+        raise ConfigError(f"[transport] boundary_over_pi: boundary at or beyond the ladder edge {edge:.6g}")
+    return cfg
 
 
 def _write_text(outdir: Path, name: str, text: str, files: dict) -> None:
@@ -244,8 +246,7 @@ def _savetxt(outdir: Path, name: str, data, header: str, files: dict, fmt="%.10g
 def _scenario_transport(cfg: RunConfig, outdir: Path, files: dict) -> None:
     p = cfg.params
     train = p.pulse_train()
-    boundary = _boundary(cfg)
-    etas = _eta_list(cfg)
+    boundary = cfg.option("boundary_over_pi") * np.pi
 
     ensemble = classical.thermal_ensemble(p)
     rec = classical.evolve_ensemble(ensemble, p, train, method="elliptic")
@@ -260,7 +261,7 @@ def _scenario_transport(cfg: RunConfig, outdir: Path, files: dict) -> None:
     rho0 = quantum.DensityMatrix.thermal(p.basis_size, p.scaled_planck, p.init_momentum_sigma)
     floquet = quantum.build_floquet(p.basis_size, p.kick_strength, p.scaled_planck, train)
     index_lines = ["# eta file", f"classical {Path('classical.dat')}"]
-    for eta in etas:
+    for eta in cfg.option("eta_values"):
         qrec = quantum.evolve_density(rho0, floquet, eta, p.n_kicks)
         qcurve = analysis.transport_curve_quantum(qrec, p.scaled_planck, boundary, {"eta": eta})
         name = f"quantum_eta_{eta:g}.dat"
@@ -277,7 +278,7 @@ def _scenario_transport(cfg: RunConfig, outdir: Path, files: dict) -> None:
 
 def _scenario_waterfall(cfg: RunConfig, outdir: Path, files: dict) -> None:
     p = cfg.params
-    n_kicks = int(cfg.extra.get("n_kicks", p.n_kicks))
+    n_kicks = cfg.option("n_kicks")
     rho0 = quantum.DensityMatrix.thermal(p.basis_size, p.scaled_planck, p.init_momentum_sigma)
     floquet = quantum.build_floquet(p.basis_size, p.kick_strength, p.scaled_planck, p.pulse_train())
     rec = quantum.evolve_density(rho0, floquet, p.se_probability, n_kicks)
@@ -299,14 +300,14 @@ def _scenario_waterfall(cfg: RunConfig, outdir: Path, files: dict) -> None:
 
 def _scenario_poincare(cfg: RunConfig, outdir: Path, files: dict) -> None:
     p = cfg.params
-    n_seeds = int(cfg.extra.get("n_seeds", 60))
-    n_kicks = int(cfg.extra.get("n_kicks", 300))
-    rho_max = float(cfg.extra.get("rho_max_over_pi", 16.0)) * np.pi
+    n_seeds = cfg.option("n_seeds")
+    n_kicks = cfg.option("n_kicks")
+    rho_max = cfg.option("rho_max_over_pi") * np.pi
     rho_seed = np.linspace(-rho_max, rho_max, n_seeds)
     seeds = np.column_stack([np.full(n_seeds, np.pi), rho_seed])
-    section = classical.poincare_section(seeds, p.kick_strength, p.pulse_train(), n_kicks)
+    points = classical.poincare_section(seeds, p.kick_strength, p.pulse_train(), n_kicks)
     _savetxt(
-        outdir, "poincare.dat", section.points,
+        outdir, "poincare.dat", points,
         f"Poincare section, k={p.kick_strength}, {n_seeds} seeds x {n_kicks} kicks\nphi rho",
         files,
     )
@@ -314,14 +315,11 @@ def _scenario_poincare(cfg: RunConfig, outdir: Path, files: dict) -> None:
 
 def _scenario_wigner(cfg: RunConfig, outdir: Path, files: dict) -> None:
     p = cfg.params
-    etas = _eta_list(cfg)
-    checkpoints = tuple(
-        int(x) for x in str(cfg.extra.get("checkpoint_kicks", p.n_kicks)).replace(",", " ").split()
-    )
+    checkpoints = cfg.option("checkpoint_kicks")
     rho0 = quantum.DensityMatrix.thermal(p.basis_size, p.scaled_planck, p.init_momentum_sigma)
     floquet = quantum.build_floquet(p.basis_size, p.kick_strength, p.scaled_planck, p.pulse_train())
     summary = ["# eta kick negativity_volume file"]
-    for eta in etas:
+    for eta in cfg.option("eta_values"):
         rec = quantum.evolve_density(rho0, floquet, eta, max(checkpoints), checkpoints)
         for kick in checkpoints:
             grid = wigner.toroidal_wigner(rec.checkpoints[kick], p.scaled_planck)
@@ -341,13 +339,13 @@ def _scenario_wigner(cfg: RunConfig, outdir: Path, files: dict) -> None:
 
 def _scenario_flux(cfg: RunConfig, outdir: Path, files: dict) -> None:
     p = cfg.params
-    boundary = _boundary(cfg)
+    boundary = cfg.option("boundary_over_pi") * np.pi
     est = classical.cantorus_flux(
         p.kick_strength,
         p.pulse_train(),
         boundary,
-        n_seeds=int(cfg.extra.get("n_seeds", 100_000)),
-        n_replicates=int(cfg.extra.get("n_replicates", 8)),
+        n_seeds=cfg.option("n_seeds"),
+        n_replicates=cfg.option("n_replicates"),
         rng_seed=p.rng_seed,
     )
     text = (
@@ -362,12 +360,34 @@ def _scenario_flux(cfg: RunConfig, outdir: Path, files: dict) -> None:
     _write_text(outdir, "flux.dat", text, files)
 
 
-_SCENARIO_FUNCS = {
-    "transport": _scenario_transport,
-    "waterfall": _scenario_waterfall,
-    "poincare": _scenario_poincare,
-    "wigner": _scenario_wigner,
-    "flux": _scenario_flux,
+SCENARIOS = {
+    "transport": Scenario(
+        _scenario_transport,
+        "fraction outside the KAM boundary vs kick number, classical + quantum eta sweep",
+        {"eta_values": Option(_etas, "{se_probability}"), "boundary_over_pi": Option(float, "10")},
+    ),
+    "waterfall": Scenario(
+        _scenario_waterfall,
+        "per-kick quantum momentum distributions",
+        {"n_kicks": Option(int, "{n_kicks}")},
+    ),
+    "poincare": Scenario(
+        _scenario_poincare,
+        "stroboscopic phase-space section of the classical map",
+        {"n_seeds": Option(_positive_int, "60"), "n_kicks": Option(int, "300"),
+         "rho_max_over_pi": Option(float, "16")},
+    ),
+    "wigner": Scenario(
+        _scenario_wigner,
+        "coarse-grained toroidal Wigner snapshots and negativity, per eta",
+        {"eta_values": Option(_etas, "{se_probability}"), "checkpoint_kicks": Option(_kicks, "{n_kicks}")},
+    ),
+    "flux": Scenario(
+        _scenario_flux,
+        "classical phase-space flux through the KAM boundary",
+        {"boundary_over_pi": Option(float, "10"), "n_seeds": Option(_positive_int, "100000"),
+         "n_replicates": Option(_positive_int, "8")},
+    ),
 }
 
 
@@ -379,7 +399,7 @@ def run_scenario(cfg: RunConfig, stamp: str | None = None) -> tuple[Path, RunMan
     outdir.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
     _write_text(outdir, "config.ini", cfg.canonical(), files)
-    _SCENARIO_FUNCS[cfg.scenario](cfg, outdir, files)
+    SCENARIOS[cfg.scenario].run(cfg, outdir, files)
     manifest = RunManifest(cfg.canonical(), __version__, time.monotonic() - t0, files)
     manifest.write(outdir / "manifest.json")
     return outdir, manifest
@@ -397,8 +417,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-scenarios":
-        for name, desc in sorted(SCENARIOS.items()):
-            print(f"{name:10s} {desc}")
+        for name, sc in sorted(SCENARIOS.items()):
+            print(f"{name:10s} {sc.description}\n{'':10s} options: {' '.join(sc.options)}")
         return 0
     if args.command == "default-config":
         print(DEFAULT_CONFIG, end="")

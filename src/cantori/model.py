@@ -165,14 +165,6 @@ class PulseTrain:
         if any(d < 0 for d, _ in self.segments):
             raise ParameterError("segment durations must be non-negative")
 
-    @property
-    def durations(self) -> np.ndarray:
-        return np.array([float(d) for d, _ in self.segments])
-
-    @property
-    def driven(self) -> np.ndarray:
-        return np.array([on for _, on in self.segments])
-
 
 def build_pulse_train(alpha, delta) -> PulseTrain:
     """Symmetric two-pulse schedule: [pad dark, alpha on, gap dark, alpha on, pad dark].

@@ -89,13 +89,3 @@ def negativity_volume(grid: WignerGrid) -> float:
     cell_area = (2.0 * np.pi / n) * grid.hbar_k
     neg = coarse[coarse < 0.0]
     return float(-neg.sum() * cell_area)
-
-
-def export_grid(path, grid: WignerGrid, header_extra: str = "") -> None:
-    """Columnar dump (X, P, w), one row per fine-grid cell."""
-    xx, pp = np.meshgrid(grid.x, grid.p, indexing="ij")
-    data = np.column_stack([xx.ravel(), pp.ravel(), grid.values.T.ravel()])
-    header = "X P w"
-    if header_extra:
-        header = header_extra + "\n" + header
-    np.savetxt(path, data, header=header, comments="# ")

@@ -1,7 +1,6 @@
-"""Tests for transport metrics, energies, and continued-fraction helpers."""
+"""Tests for transport metrics and energies."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,14 +11,13 @@ from cantori import (
     ClassicalEnsemble,
     SimParams,
     TransportCurve,
-    continued_fraction,
     fraction_outside_classical,
     fraction_outside_quantum,
     kinetic_energy,
     kinetic_energy_quantum,
     thermal_ensemble,
 )
-from cantori.analysis import convergent, transport_curve_classical, transport_curve_quantum
+from cantori.analysis import transport_curve_classical, transport_curve_quantum
 from cantori.classical import TrajectoryRecord
 from cantori.model import ParameterError
 
@@ -145,50 +143,3 @@ class TestTransportCurve:
         curve = transport_curve_quantum(rec, 2.0, 9.0)
         assert np.allclose(curve.fraction_outside, [0.0, 1.0])
         assert curve.source == "quantum"
-
-    def test_export_roundtrip(self, tmp_path):
-        curve = TransportCurve(
-            np.arange(3), np.array([0.0, 0.25, 0.5]), 10 * np.pi, "quantum", {"eta": 0.0}
-        )
-        path = tmp_path / "curve.dat"
-        curve.export(path)
-        data = np.loadtxt(path)
-        assert np.allclose(data[:, 1], curve.fraction_outside)
-        text = path.read_text()
-        assert "eta=0.0" in text and "quantum" in text
-
-    def test_export_empty(self, tmp_path):
-        curve = TransportCurve(np.zeros(0, dtype=int), np.zeros(0), 1.0, "classical")
-        path = tmp_path / "empty.dat"
-        curve.export(path)
-        assert path.read_text().startswith("# ")
-
-
-class TestContinuedFraction:
-    def test_rational(self):
-        assert continued_fraction(1.5, 8) == [1, 2]
-        assert continued_fraction(0.25, 8) == [0, 4]
-
-    def test_pi(self):
-        assert continued_fraction(math.pi, 4) == [3, 7, 15, 1]
-
-    def test_golden_mean(self):
-        golden = (1.0 + math.sqrt(5.0)) / 2.0
-        assert continued_fraction(golden, 8) == [1] * 8
-
-    def test_depth_validation(self):
-        with pytest.raises(ParameterError):
-            continued_fraction(1.0, 0)
-
-    def test_convergent_values(self):
-        assert convergent([3, 7]) == Fraction(22, 7)
-        assert convergent([1, 1, 1, 1, 1]) == Fraction(8, 5)
-        with pytest.raises(ParameterError):
-            convergent([])
-
-    @given(st.floats(0.01, 50.0))
-    def test_convergent_accuracy(self, x):
-        """A truncated expansion approximates x to better than 1/q^2."""
-        terms = continued_fraction(x, 10)
-        approx = convergent(terms)
-        assert abs(x - float(approx)) <= 1.0 / approx.denominator**2 + 1e-12

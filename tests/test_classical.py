@@ -139,7 +139,7 @@ class TestEnsemble:
                               method="elliptic", record_every=2)
         assert list(rec.kicks) == [0, 2, 4, 6]
         assert rec.phi.shape == (4, 50)
-        assert np.array_equal(rec.ensemble_at(0).rho, ens.rho)
+        assert np.array_equal(rec.rho[0], ens.rho)
 
     def test_reflection_symmetry_of_cycle(self, paper_train):
         rng = np.random.default_rng(13)
@@ -170,8 +170,7 @@ class TestEnsemble:
 class TestPoincare:
     def test_zero_kick_horizontal_lines(self, paper_train):
         seeds = [(0.0, 2.0), (1.0, -7.0)]
-        section = poincare_section(seeds, 0.0, paper_train, 50)
-        pts = section.points
+        pts = poincare_section(seeds, 0.0, paper_train, 50)
         for _, rho0 in seeds:
             assert np.all(np.abs(pts[np.isclose(pts[:, 1], rho0), 1] - rho0) < 1e-12)
 
@@ -189,8 +188,7 @@ class TestPoincare:
         for m in (4, 5):
             seeds = np.column_stack([np.linspace(0, TWO_PI, 16, endpoint=False),
                                      np.full(16, 2 * np.pi * m)])
-            section = poincare_section(seeds, k, paper_train, 400)
-            rho = section.points[:, 1].reshape(-1, 16)
+            rho = poincare_section(seeds, k, paper_train, 400)[:, 1].reshape(-1, 16)
             excursions[m] = np.max(rho.max(axis=0) - rho.min(axis=0))
         assert excursions[4] > 3.0 * excursions[5]
 
@@ -199,8 +197,8 @@ class TestPoincare:
         # past it: no invariant curve survives there.
         seeds = np.column_stack([np.linspace(0.1, TWO_PI, 8, endpoint=False),
                                  np.full(8, 10 * np.pi - 2.0)])
-        section = poincare_section(seeds, 300.0, paper_train, 200)
-        assert np.any(section.points[:, 1] > 10 * np.pi + 2)
+        pts = poincare_section(seeds, 300.0, paper_train, 200)
+        assert np.any(pts[:, 1] > 10 * np.pi + 2)
 
 
 class TestCantorusFlux:

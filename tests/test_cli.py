@@ -1,7 +1,9 @@
 """Tests for config parsing, the scenario runner, and the console entry point."""
 
+import configparser
 import hashlib
 import json
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,11 +12,13 @@ import pytest
 
 from cantori.cli import (
     DEFAULT_CONFIG,
+    SCENARIOS,
     ConfigError,
     main,
     parse_config,
     run_scenario,
 )
+from cantori.model import SimParams
 
 TINY = """\
 [run]
@@ -94,6 +98,53 @@ class TestParse:
         assert cfg.params.kick_strength == pytest.approx(expected[0])
         assert cfg.params.scaled_planck == pytest.approx(expected[1])
 
+    def test_default_config_lists_every_option(self):
+        """The example config and the option schema cannot drift apart."""
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        cp.read_string(DEFAULT_CONFIG)
+        assert set(cp.sections()) == {"run", "params", *SCENARIOS}
+        assert set(cp["params"]) == {f.name for f in fields(SimParams)}
+        for name, scenario in SCENARIOS.items():
+            assert set(cp[name]) == set(scenario.options), name
+
+    def test_options_parsed(self):
+        cfg = parse_config(DEFAULT_CONFIG)
+        assert cfg.option("eta_values") == (0.0, 0.0187, 0.0503)
+        assert cfg.option("boundary_over_pi") == 10.0
+        cfg = parse_config(DEFAULT_CONFIG.replace("scenario = transport", "scenario = wigner"))
+        assert cfg.option("checkpoint_kicks") == (70,)
+
+    @pytest.mark.parametrize(
+        "scenario,line,name,expected",
+        [
+            ("transport", "eta_values = 0 0.0187 0.0503", "eta_values", (0.0187,)),
+            ("waterfall", "n_kicks = 50", "n_kicks", 70),
+            ("wigner", "checkpoint_kicks = 70", "checkpoint_kicks", (70,)),
+            ("flux", "n_replicates = 8", "n_replicates", 8),
+        ],
+    )
+    def test_empty_option_takes_fallback(self, scenario, line, name, expected):
+        text = DEFAULT_CONFIG.replace("scenario = transport", f"scenario = {scenario}")
+        cfg = parse_config(text.replace(line, line.split("=")[0] + "="))
+        assert cfg.extra[name] == ""
+        assert cfg.option(name) == expected
+
+    @pytest.mark.parametrize(
+        "basis_size,boundary_over_pi,ok", [(16, "6.6", True), (16, "6.7", False), (8, "10", False)]
+    )
+    def test_transport_boundary_inside_ladder(self, basis_size, boundary_over_pi, ok):
+        """The ladder ends at (basis_size/2)*scaled_planck: 20.8 at N = 16, 10.4 at N = 8."""
+        text = DEFAULT_CONFIG.replace("basis_size = 128", f"basis_size = {basis_size}")
+        # The first boundary_over_pi is the [transport] one.
+        text = text.replace("boundary_over_pi = 10", f"boundary_over_pi = {boundary_over_pi}", 1)
+        if ok:
+            assert parse_config(text).option("boundary_over_pi") == float(boundary_over_pi)
+        else:
+            with pytest.raises(ConfigError, match="ladder"):
+                parse_config(text)
+        # flux is classical: the ladder does not bound its boundary.
+        parse_config(text.replace("scenario = transport", "scenario = flux"))
+
 
 class TestRunScenario:
     def test_transport_outputs_and_manifest(self, tmp_path):
@@ -150,8 +201,9 @@ class TestMain:
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
         out = capsys.readouterr().out
-        for name in ("transport", "waterfall", "poincare", "wigner", "flux"):
+        for name, scenario in SCENARIOS.items():
             assert name in out
+            assert f"options: {' '.join(scenario.options)}" in out
 
     def test_default_config_round_trips(self, capsys):
         assert main(["default-config"]) == 0
@@ -190,3 +242,46 @@ class TestMain:
         path.write_text(text)
         assert main(["run", str(path)]) == 3
         assert "compute failed" in capsys.readouterr().err
+
+
+PHYSICAL = """
+[physical]
+rabi_frequency = 1.7e9
+detunings = 1.76e10 1.92e10 2.04e10
+wave_number = 7.37e6
+atom_mass = 2.2069e-25
+pulse_period = 2.5e-5
+"""
+
+
+class TestStrictConfig:
+    """Bad configs fail at validate time: exit 2, one stderr line, no run directory."""
+
+    @pytest.mark.parametrize(
+        "scenario,old,new",
+        [
+            ("transport", "kick_strength = 270", "kick_strenght = 5"),
+            ("transport", "[transport]", "[transprot]"),
+            ("wigner", "checkpoint_kicks = 70", "checkpoint_kicks = abc"),
+            ("poincare", "n_seeds = 60", "n_seeds = -5"),
+            ("flux", "n_seeds = 100000", "n_seeds = -5"),
+            ("transport", "pulse_period = 2.5e-5", "pulse_period = 2.5e-5\nlaser_power = 3"),
+            ("transport", "basis_size = 128", "basis_size = 8"),
+        ],
+        ids=[
+            "params-key", "section", "checkpoint-kicks", "poincare-seeds", "flux-seeds", "physical-key", "ladder",
+        ],
+    )
+    def test_rejected_before_running(self, tmp_path, capsys, scenario, old, new):
+        text = (DEFAULT_CONFIG + PHYSICAL).replace("scenario = transport", f"scenario = {scenario}")
+        text = text.replace("output_dir = runs", f"output_dir = {tmp_path / 'runs'}")
+        assert text.count(old) == 1
+        path = tmp_path / "c.ini"
+        path.write_text(text.replace(old, new))
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: invalid config: ")
+            assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not (tmp_path / "runs").exists()

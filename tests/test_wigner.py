@@ -10,7 +10,6 @@ from cantori import (
     toroidal_wigner,
 )
 from cantori.model import ParameterError
-from cantori.wigner import export_grid
 
 
 def random_density(N, seed):
@@ -142,13 +141,3 @@ class TestNegativity:
             mixed = apply_decoherence(mixed, 0.3)
         after = negativity_volume(toroidal_wigner(mixed, 2.6))
         assert after < before
-
-
-def test_export(tmp_path):
-    N = 4
-    grid = toroidal_wigner(DensityMatrix.pure(N, 0), 2.6)
-    path = tmp_path / "w.dat"
-    export_grid(path, grid, header_extra="demo")
-    data = np.loadtxt(path)
-    assert data.shape == (4 * N * N, 3)
-    assert path.read_text().startswith("# demo")
