@@ -9,8 +9,10 @@ keys are rejected, and every option is parsed before anything runs.
 
 All outputs of one run land in a single directory named by timestamp plus a
 digest of the canonical config; a manifest.json listing every output file
-with its SHA-256 digest is written last.  Data files contain no timestamps,
-so identical config + seed reproduce byte-identical data.
+with its SHA-256 digest is written last.  The run writes into a temporary
+sibling directory that takes the final name only once the manifest is
+written, so a failed run leaves nothing behind.  Data files contain no
+timestamps, so identical config + seed reproduce byte-identical data.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import io
 import json
+import math
+import shutil
 import sys
 import time
+import uuid
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -140,8 +144,15 @@ def _parse(where: str, parse: Callable[[str], object], text: str):
         raise ConfigError(f"{where} = {text}: {exc}") from None
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.replace(",", " ").split())
+    return tuple(_finite(x) for x in text.replace(",", " ").split())
 
 
 def _etas(text: str) -> tuple[float, ...]:
@@ -167,7 +178,7 @@ def _positive_int(text: str) -> int:
 
 
 # Parsers keyed by the annotation text of the SimParams and PhysicalParams fields.
-_FIELD_PARSERS = {"float": float, "int": int, "Fraction": Fraction, "tuple[float, float, float]": _floats}
+_FIELD_PARSERS = {"float": _finite, "int": int, "Fraction": Fraction, "tuple[float, float, float]": _floats}
 
 
 def _read_fields(cp: configparser.ConfigParser, section: str, cls) -> dict:
@@ -231,16 +242,37 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _write_text(outdir: Path, name: str, text: str, files: dict) -> None:
-    path = outdir / name
-    path.write_text(text)
-    files[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+# Rows that _savetxt formats with one % operation: large enough to amortise
+# the per-call cost, small enough to keep the formatted text a few MB.
+_SAVETXT_ROWS = 16384
+
+
+def _write_text(outdir: Path, name: str, text, files: dict) -> None:
+    """Write text (a string or an iterable of strings) as UTF-8 and record its SHA-256."""
+    digest = hashlib.sha256()
+    with open(outdir / name, "wb") as fh:
+        for part in [text] if isinstance(text, str) else text:
+            data = part.encode()
+            digest.update(data)
+            fh.write(data)
+    files[name] = digest.hexdigest()
 
 
 def _savetxt(outdir: Path, name: str, data, header: str, files: dict, fmt="%.10g") -> None:
-    buf = io.StringIO()
-    np.savetxt(buf, np.asarray(data), header=header, comments="# ", fmt=fmt)
-    _write_text(outdir, name, buf.getvalue(), files)
+    """The bytes np.savetxt(data, fmt=fmt, header=header, comments="# ") writes, chunk by chunk."""
+    data = np.asarray(data)
+    if data.ndim == 1:
+        data = data[:, None]
+    row = " ".join([fmt] * data.shape[1]) + "\n"
+
+    def parts():
+        if header:
+            yield "# " + header.replace("\n", "\n# ") + "\n"
+        for start in range(0, len(data), _SAVETXT_ROWS):
+            chunk = data[start:start + _SAVETXT_ROWS]
+            yield row * len(chunk) % tuple(chunk.ravel().tolist())
+
+    _write_text(outdir, name, parts(), files)
 
 
 def _scenario_transport(cfg: RunConfig, outdir: Path, files: dict) -> None:
@@ -364,7 +396,7 @@ SCENARIOS = {
     "transport": Scenario(
         _scenario_transport,
         "fraction outside the KAM boundary vs kick number, classical + quantum eta sweep",
-        {"eta_values": Option(_etas, "{se_probability}"), "boundary_over_pi": Option(float, "10")},
+        {"eta_values": Option(_etas, "{se_probability}"), "boundary_over_pi": Option(_finite, "10")},
     ),
     "waterfall": Scenario(
         _scenario_waterfall,
@@ -375,7 +407,7 @@ SCENARIOS = {
         _scenario_poincare,
         "stroboscopic phase-space section of the classical map",
         {"n_seeds": Option(_positive_int, "60"), "n_kicks": Option(int, "300"),
-         "rho_max_over_pi": Option(float, "16")},
+         "rho_max_over_pi": Option(_finite, "16")},
     ),
     "wigner": Scenario(
         _scenario_wigner,
@@ -385,23 +417,37 @@ SCENARIOS = {
     "flux": Scenario(
         _scenario_flux,
         "classical phase-space flux through the KAM boundary",
-        {"boundary_over_pi": Option(float, "10"), "n_seeds": Option(_positive_int, "100000"),
+        {"boundary_over_pi": Option(_finite, "10"), "n_seeds": Option(_positive_int, "100000"),
          "n_replicates": Option(_positive_int, "8")},
     ),
 }
 
 
 def run_scenario(cfg: RunConfig, stamp: str | None = None) -> tuple[Path, RunManifest]:
-    """Execute a scenario; returns (run directory, manifest)."""
+    """Execute a scenario; returns (run directory, manifest).
+
+    The run directory is {stamp}-{digest[:8]}.  If it already exists the run
+    is refused with FileExistsError before anything is computed: a run never
+    overwrites another.  Outputs go to a sibling {stamp}-{digest[:8]}.partial-*
+    directory, renamed on success and removed on any failure.
+    """
     t0 = time.monotonic()
     stamp = stamp or datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
     outdir = Path(cfg.output_dir) / f"{stamp}-{cfg.digest()[:8]}"
-    outdir.mkdir(parents=True, exist_ok=True)
-    files: dict[str, str] = {}
-    _write_text(outdir, "config.ini", cfg.canonical(), files)
-    SCENARIOS[cfg.scenario].run(cfg, outdir, files)
-    manifest = RunManifest(cfg.canonical(), __version__, time.monotonic() - t0, files)
-    manifest.write(outdir / "manifest.json")
+    if outdir.exists():
+        raise FileExistsError(f"run directory {outdir} already exists")
+    partial = outdir.with_name(f"{outdir.name}.partial-{uuid.uuid4().hex[:12]}")
+    partial.mkdir(parents=True)
+    try:
+        files: dict[str, str] = {}
+        _write_text(partial, "config.ini", cfg.canonical(), files)
+        SCENARIOS[cfg.scenario].run(cfg, partial, files)
+        manifest = RunManifest(cfg.canonical(), __version__, time.monotonic() - t0, files)
+        manifest.write(partial / "manifest.json")
+        partial.rename(outdir)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
     return outdir, manifest
 
 

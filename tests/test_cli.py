@@ -2,14 +2,16 @@
 
 import configparser
 import hashlib
+import io
 import json
 from dataclasses import fields
+from datetime import datetime
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cantori import cli
 from cantori.cli import (
     DEFAULT_CONFIG,
     SCENARIOS,
@@ -196,6 +198,51 @@ class TestRunScenario:
         with pytest.raises(ConfigError):
             run_scenario(parse_config(text), stamp="x")
 
+    def test_existing_run_directory_is_refused(self, tmp_path, monkeypatch):
+        """Same stamp and digest: refused before computing, the earlier run untouched."""
+        cfg = parse_config(TINY.format(out=tmp_path))
+        outdir, manifest = run_scenario(cfg, stamp="same")
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+
+        def no_compute(*args):
+            raise AssertionError("scenario ran although its directory exists")
+
+        monkeypatch.setitem(SCENARIOS, "transport", SCENARIOS["transport"]._replace(run=no_compute))
+        with pytest.raises(FileExistsError):
+            run_scenario(cfg, stamp="same")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [outdir.name]
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+    def test_failed_run_leaves_no_directory(self, tmp_path, monkeypatch):
+        def fail(cfg, outdir, files):
+            cli._write_text(outdir, "partial.dat", "half\n", files)
+            raise OSError("disk full")
+
+        monkeypatch.setitem(SCENARIOS, "transport", SCENARIOS["transport"]._replace(run=fail))
+        with pytest.raises(OSError, match="disk full"):
+            run_scenario(parse_config(TINY.format(out=tmp_path / "runs")), stamp="f")
+        assert list((tmp_path / "runs").iterdir()) == []
+
+
+class TestSavetxt:
+    """cli._savetxt writes exactly the bytes of np.savetxt(..., comments="# ")."""
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 1), (7, 2), (5000, 3), (0, 3)])
+    @pytest.mark.parametrize("header", ["", "one line", "first line\nX P w"])
+    def test_matches_numpy(self, tmp_path, monkeypatch, shape, header):
+        monkeypatch.setattr(cli, "_SAVETXT_ROWS", 1000)    # several chunks, the last one partial
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        if data.size:
+            data.flat[0] = -0.0
+        files = {}
+        cli._savetxt(tmp_path, "x.dat", data, header, files)
+        buf = io.StringIO()
+        np.savetxt(buf, data, header=header, comments="# ", fmt="%.10g")
+        expected = buf.getvalue().encode()
+        assert (tmp_path / "x.dat").read_bytes() == expected
+        assert files["x.dat"] == hashlib.sha256(expected).hexdigest()
+
 
 class TestMain:
     def test_list_scenarios(self, capsys):
@@ -242,6 +289,24 @@ class TestMain:
         path.write_text(text)
         assert main(["run", str(path)]) == 3
         assert "compute failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_existing_run_directory_is_io_error(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c.ini"
+        path.write_text(TINY.format(out=tmp_path / "runs"))
+        cfg = parse_config(path.read_text())
+        stamp = "20000101T000000"
+        (tmp_path / "runs" / f"{stamp}-{cfg.digest()[:8]}").mkdir(parents=True)
+        monkeypatch.setattr(cli, "datetime", _FixedClock)
+        assert main(["run", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "already exists" in err and err.count("\n") == 1
+
+
+class _FixedClock:
+    @staticmethod
+    def now(tz):
+        return datetime(2000, 1, 1, tzinfo=tz)
 
 
 PHYSICAL = """
@@ -267,9 +332,18 @@ class TestStrictConfig:
             ("flux", "n_seeds = 100000", "n_seeds = -5"),
             ("transport", "pulse_period = 2.5e-5", "pulse_period = 2.5e-5\nlaser_power = 3"),
             ("transport", "basis_size = 128", "basis_size = 8"),
+            ("flux", "boundary_over_pi = 10\nn_seeds", "boundary_over_pi = nan\nn_seeds"),
+            ("poincare", "rho_max_over_pi = 16", "rho_max_over_pi = nan"),
+            ("transport", "boundary_over_pi = 10\n\n[waterfall]", "boundary_over_pi = nan\n\n[waterfall]"),
+            ("transport", "init_momentum_sigma = 10.0", "init_momentum_sigma = nan"),
+            ("transport", "kick_spread_rms = 0.0", "kick_spread_rms = nan"),
+            ("transport", "kick_strength = 270", "kick_strength = inf"),
+            ("transport", "eta_values = 0 0.0187 0.0503", "eta_values = 0 nan"),
         ],
         ids=[
             "params-key", "section", "checkpoint-kicks", "poincare-seeds", "flux-seeds", "physical-key", "ladder",
+            "flux-boundary-nan", "poincare-rho-max-nan", "transport-boundary-nan", "sigma-nan", "spread-nan",
+            "kick-inf", "eta-nan",
         ],
     )
     def test_rejected_before_running(self, tmp_path, capsys, scenario, old, new):

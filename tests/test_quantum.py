@@ -3,7 +3,8 @@
 The Floquet builder is checked against two independent routes: a dense
 scipy.linalg.expm product and a split-step FFT propagator.  The
 spontaneous-emission channel is checked against a hand-rolled convolution
-random walk.
+random walk and against np.roll.  The parity-block evolution is checked
+against the dense orthogonal parity transform and a dense U rho U^dag loop.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from cantori import (
     momentum_distribution,
     momentum_ladder,
 )
+from cantori.quantum import UNITARITY_TOL, FloquetOperator, _parity_merge, _parity_split
 
 
 def split_step_floquet(N, k, hbar_k, train, substeps=200):
@@ -257,7 +259,94 @@ class TestFloquetModes:
         assert np.abs(via_modes - psi).max() < 1e-8
 
     def test_rejects_nonunitary(self):
-        from cantori.quantum import FloquetOperator
-
         with pytest.raises(ParameterError):
             floquet_modes(FloquetOperator(np.diag([1.0, 0.5]), 0.0, 2.6))
+
+
+def parity_transform(N):
+    """Dense orthogonal T: rows e_0, (e_i + e_(N-i))/sqrt2 for i = 1 ... N/2-1, e_(N/2), then (e_i - e_(N-i))/sqrt2."""
+    h = N // 2
+    eye = np.eye(N)
+    pairs = range(1, h)
+    even = [eye[0]] + [(eye[i] + eye[N - i]) / np.sqrt(2) for i in pairs] + [eye[h]]
+    odd = [(eye[i] - eye[N - i]) / np.sqrt(2) for i in pairs]
+    return np.array(even + odd)
+
+
+def dense_channel(m, eta):
+    return 0.5 * eta * (np.roll(m, (-1, -1), axis=(0, 1)) + np.roll(m, (1, 1), axis=(0, 1))) + (1 - eta) * m
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("N", [2, 4, 6, 16])
+    def test_split_merge_match_dense_transform(self, N):
+        h = N // 2
+        rng = np.random.default_rng(N)
+        m = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        t = parity_transform(N)
+        assert np.abs(t @ t.T - np.eye(N)).max() < 1e-15
+        dense = t @ m @ t.T
+        ee, eo, oe, oo = _parity_split(m)
+        assert ee.shape == (h + 1, h + 1) and oo.shape == (h - 1, h - 1)
+        np.testing.assert_allclose(ee, dense[: h + 1, : h + 1], atol=1e-14)
+        np.testing.assert_allclose(eo, dense[: h + 1, h + 1 :], atol=1e-14)
+        np.testing.assert_allclose(oe, dense[h + 1 :, : h + 1], atol=1e-14)
+        np.testing.assert_allclose(oo, dense[h + 1 :, h + 1 :], atol=1e-14)
+        np.testing.assert_allclose(_parity_merge(ee, eo, oe, oo), m, atol=1e-14)
+        ee2, eo2, oe2, oo2 = _parity_split(m, cross=False)
+        assert eo2 is None and oe2 is None
+        np.testing.assert_array_equal(ee2, ee)
+        np.testing.assert_array_equal(oo2, oo)
+        # Without the even-odd blocks the merge is the parity-symmetric part of m.
+        mirror = t.T @ np.diag([1.0] * (h + 1) + [-1.0] * (h - 1)) @ t
+        np.testing.assert_allclose(_parity_merge(ee, None, None, oo), 0.5 * (m + mirror @ m @ mirror), atol=1e-14)
+
+    @pytest.mark.parametrize("N", [2, 4, 32, 128])
+    def test_floquet_commutes_with_parity_exactly(self, paper_train, N):
+        flo = build_floquet(N, 40.0, 2.6, paper_train)
+        _, eo, oe, _ = _parity_split(flo.matrix)
+        assert not np.any(eo) and not np.any(oe)
+        assert flo.unitarity_defect() <= UNITARITY_TOL
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "make_rho",
+        [
+            lambda: DensityMatrix.pure(8, -2),
+            lambda: DensityMatrix.from_state(
+                np.random.default_rng(3).normal(size=32) + 1j * np.random.default_rng(4).normal(size=32)
+            ),
+            lambda: DensityMatrix.thermal(32, 2.6, 8.0),
+        ],
+        ids=["pure", "random", "thermal"],
+    )
+    def test_evolution_matches_dense_loop(self, paper_train, make_rho, eta):
+        rho0 = make_rho()
+        N, n_kicks = rho0.size, 12
+        flo = build_floquet(N, 25.0, 2.6, paper_train)
+        rec = evolve_density(rho0, flo, eta, n_kicks, checkpoint_kicks=(5, n_kicks))
+        u, m = flo.matrix, rho0.matrix
+        for kick in range(1, n_kicks + 1):
+            m = dense_channel(u @ m @ u.conj().T, eta)
+            assert np.abs(rec.populations[kick] - np.real(np.diag(m))).max() < 1e-12
+            if kick in rec.checkpoints:
+                assert np.abs(rec.checkpoints[kick].matrix - m).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "u",
+        [np.diag(np.exp(1j * np.arange(8.0))), np.roll(np.eye(8), 1, axis=0)],
+        ids=["diagonal-phases", "ladder-shift"],
+    )
+    def test_rejects_parity_breaking_operator(self, u):
+        flo = FloquetOperator(u.astype(complex), 0.0, 2.6)
+        assert flo.unitarity_defect() < 1e-15
+        with pytest.raises(ParameterError, match="parity"):
+            evolve_density(DensityMatrix.pure(8, 0), flo, 0.0, 1)
+
+    @pytest.mark.parametrize("N", [2, 4, 16])
+    def test_channel_matches_roll(self, N):
+        rng = np.random.default_rng(N)
+        a = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        m = a @ a.conj().T
+        m /= np.trace(m).real
+        np.testing.assert_allclose(apply_decoherence(DensityMatrix(m), 0.3).matrix, dense_channel(m, 0.3), atol=1e-15)
