@@ -93,6 +93,7 @@ class Scenario(NamedTuple):
     run: Callable[[RunConfig, Path, dict], None]
     description: str
     options: dict[str, Option]
+    quantum: bool = False   # evolves the density matrix, which has no kick-strength spread
 
 
 @dataclass
@@ -235,6 +236,9 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(scenario, output_dir, params, dict(cp[scenario]) if scenario in cp else {}, physical)
     for name in SCENARIOS[scenario].options:
         cfg.option(name)
+    if SCENARIOS[scenario].quantum and params.kick_spread_rms > 0.0:
+        raise ConfigError(f"[params] kick_spread_rms = {params.kick_spread_rms}: the quantum evolution of "
+                          f"{scenario} has no kick-strength spread; set it to 0")
     # Beyond the last ladder site the quantum fraction outside reads 0 by construction.
     edge = params.basis_size / 2 * params.scaled_planck
     if scenario == "transport" and cfg.option("boundary_over_pi") * np.pi >= edge:
@@ -275,13 +279,18 @@ def _savetxt(outdir: Path, name: str, data, header: str, files: dict, fmt="%.10g
     _write_text(outdir, name, parts(), files)
 
 
+def _quantum_start(p: SimParams) -> tuple[quantum.DensityMatrix, quantum.FloquetOperator]:
+    """The thermal initial state and the one-cycle Floquet operator of every quantum scenario."""
+    rho0 = quantum.DensityMatrix.thermal(p.basis_size, p.scaled_planck, p.init_momentum_sigma)
+    return rho0, quantum.build_floquet(p.basis_size, p.kick_strength, p.scaled_planck, p.pulse_train())
+
+
 def _scenario_transport(cfg: RunConfig, outdir: Path, files: dict) -> None:
     p = cfg.params
-    train = p.pulse_train()
     boundary = cfg.option("boundary_over_pi") * np.pi
 
     ensemble = classical.thermal_ensemble(p)
-    rec = classical.evolve_ensemble(ensemble, p, train, method="elliptic")
+    rec = classical.evolve_ensemble(ensemble, p, p.pulse_train(), method="elliptic")
     curve = analysis.transport_curve_classical(rec, boundary, {"k": p.kick_strength})
     _savetxt(
         outdir, "classical.dat",
@@ -290,8 +299,7 @@ def _scenario_transport(cfg: RunConfig, outdir: Path, files: dict) -> None:
         files,
     )
 
-    rho0 = quantum.DensityMatrix.thermal(p.basis_size, p.scaled_planck, p.init_momentum_sigma)
-    floquet = quantum.build_floquet(p.basis_size, p.kick_strength, p.scaled_planck, train)
+    rho0, floquet = _quantum_start(p)
     index_lines = ["# eta file", f"classical {Path('classical.dat')}"]
     for eta in cfg.option("eta_values"):
         qrec = quantum.evolve_density(rho0, floquet, eta, p.n_kicks)
@@ -311,8 +319,7 @@ def _scenario_transport(cfg: RunConfig, outdir: Path, files: dict) -> None:
 def _scenario_waterfall(cfg: RunConfig, outdir: Path, files: dict) -> None:
     p = cfg.params
     n_kicks = cfg.option("n_kicks")
-    rho0 = quantum.DensityMatrix.thermal(p.basis_size, p.scaled_planck, p.init_momentum_sigma)
-    floquet = quantum.build_floquet(p.basis_size, p.kick_strength, p.scaled_planck, p.pulse_train())
+    rho0, floquet = _quantum_start(p)
     rec = quantum.evolve_density(rho0, floquet, p.se_probability, n_kicks)
     n = quantum.momentum_ladder(p.basis_size)
     blocks = []
@@ -348,8 +355,7 @@ def _scenario_poincare(cfg: RunConfig, outdir: Path, files: dict) -> None:
 def _scenario_wigner(cfg: RunConfig, outdir: Path, files: dict) -> None:
     p = cfg.params
     checkpoints = cfg.option("checkpoint_kicks")
-    rho0 = quantum.DensityMatrix.thermal(p.basis_size, p.scaled_planck, p.init_momentum_sigma)
-    floquet = quantum.build_floquet(p.basis_size, p.kick_strength, p.scaled_planck, p.pulse_train())
+    rho0, floquet = _quantum_start(p)
     summary = ["# eta kick negativity_volume file"]
     for eta in cfg.option("eta_values"):
         rec = quantum.evolve_density(rho0, floquet, eta, max(checkpoints), checkpoints)
@@ -397,11 +403,13 @@ SCENARIOS = {
         _scenario_transport,
         "fraction outside the KAM boundary vs kick number, classical + quantum eta sweep",
         {"eta_values": Option(_etas, "{se_probability}"), "boundary_over_pi": Option(_finite, "10")},
+        quantum=True,
     ),
     "waterfall": Scenario(
         _scenario_waterfall,
         "per-kick quantum momentum distributions",
         {"n_kicks": Option(int, "{n_kicks}")},
+        quantum=True,
     ),
     "poincare": Scenario(
         _scenario_poincare,
@@ -413,6 +421,7 @@ SCENARIOS = {
         _scenario_wigner,
         "coarse-grained toroidal Wigner snapshots and negativity, per eta",
         {"eta_values": Option(_etas, "{se_probability}"), "checkpoint_kicks": Option(_kicks, "{n_kicks}")},
+        quantum=True,
     ),
     "flux": Scenario(
         _scenario_flux,

@@ -15,10 +15,12 @@ and N/2 are fixed points; every other index i pairs with its mirror into the
 orthonormal states (e_i +- e_(N-i))/sqrt(2).  The even sector holds e_0, the
 N/2 - 1 symmetric pair states and e_(N/2); the odd sector the N/2 - 1
 antisymmetric ones.  The Floquet operator is built block by block in these
-sectors, and evolve_density conjugates each block separately, a quarter of
-the dense N^3 work when the state has no even-odd coherence (every thermal
-state).  The channel, the populations and the checkpoints stay in the
-momentum basis.
+sectors.  evolve_density keeps rho in its parity blocks from the first kick
+to the last: it conjugates each block separately, a quarter of the dense N^3
+work when the state has no even-odd coherence (every thermal state), applies
+the channel to the blocks directly, reads the populations from their
+diagonals, and returns to the momentum basis only for the checkpoints.  Each
+kick works only on the block rows and columns that hold nonzero entries.
 """
 
 from __future__ import annotations
@@ -234,6 +236,54 @@ def _parity_merge(ee, eo, oe, oo) -> np.ndarray:
     return m
 
 
+# evolve_density holds each parity block in a common (N/2 + 1)^2 frame indexed
+# by the array index j = 0 ... N/2 of the basis state: an even block fills it,
+# an odd block fills j = 1 ... N/2 - 1 and leaves zeros at the fixed points.
+# The rows and columns of the fixed points are scaled by sqrt(2), so that
+# for a parity-even rho (ee + oo)/2 and (ee - oo)/2 in the frame are
+# rho[j, j'] and rho[j, (N - j') mod N] at every frame index, fixed points
+# included, and the channel becomes one stencil on each (see _channel).
+
+def _framed(x: np.ndarray, h: int) -> np.ndarray:
+    """Parity block x (rows and columns even or odd) in the (h + 1)^2 frame."""
+    f = np.zeros((h + 1, h + 1), complex)
+    r, c = (h + 1 - x.shape[0]) // 2, (h + 1 - x.shape[1]) // 2
+    f[r:r + x.shape[0], c:c + x.shape[1]] = x
+    f[[0, h]] *= np.sqrt(2.0)
+    f[:, [0, h]] *= np.sqrt(2.0)
+    return f
+
+
+def _unframed(f: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of _framed for a block of the given shape."""
+    h = len(f) - 1
+    x = f.copy()
+    x[[0, h]] *= _SQRT_HALF
+    x[:, [0, h]] *= _SQRT_HALF
+    r, c = (h + 1 - shape[0]) // 2, (h + 1 - shape[1]) // 2
+    return x[r:r + shape[0], c:c + shape[1]]
+
+
+def _reach(u: np.ndarray) -> np.ndarray:
+    """reach[j]: the first row in which some column j' >= j of u is nonzero (len(u) if none)."""
+    nonzero = u != 0
+    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), len(u))
+    return np.minimum.accumulate(first[::-1])[::-1]
+
+
+def _occupied_from(frames: list, lo: int) -> int:
+    """The first index >= lo at which a row or a column of some frame is nonzero.
+
+    Every frame must be zero in its rows and columns below lo.
+    """
+    hit = np.zeros(len(frames[0]) - lo, bool)
+    for f in frames:
+        nonzero = f[lo:, lo:] != 0
+        hit |= nonzero.any(axis=0)
+        hit |= nonzero.any(axis=1)
+    return lo + int(np.argmax(hit))
+
+
 def build_floquet(N: int, k: float, hbar_k: float, train: PulseTrain) -> FloquetOperator:
     """Single-kick evolution operator, segment propagators applied in schedule order.
 
@@ -279,6 +329,41 @@ def apply_decoherence(rho: DensityMatrix, eta: float) -> DensityMatrix:
     return DensityMatrix(out)
 
 
+def _channel(a: np.ndarray, b: np.ndarray, eta: float, lo: int, sign: float) -> None:
+    """apply_decoherence on a pair of frames, in place on their [lo:, lo:] corner.
+
+    The pair is (ee, oo) with sign +1 or (eo, oe) with sign -1.  In the frame
+    s = (a + b)/2 takes the (+1, +1) and (-1, -1) neighbours and
+    d = (a - b)/2 the (+1, -1) and (-1, +1) ones.  A neighbour index h + 1
+    stands for the mirror of h - 1 and index -1 (the periodic wrap past the
+    ladder edge) for the mirror of 1: a row there is the other array's row
+    h - 1 or 1, a column the other array's column times sign.  With lo > 0 the
+    frames must be zero in the rows and columns below lo + 1, so nothing wraps.
+    """
+    n = len(a) - lo
+    wa, wb = a[lo:, lo:], b[lo:, lo:]
+    # The window with one neighbour index on each side; s and d hold a + b and
+    # a - b, and the weights below carry the halves.
+    s = np.zeros((n + 2, n + 2), complex)
+    d = np.zeros((n + 2, n + 2), complex)
+    np.add(wa, wb, out=s[1:-1, 1:-1])
+    np.subtract(wa, wb, out=d[1:-1, 1:-1])
+    s[-1, 1:-1], d[-1, 1:-1] = d[-3, 1:-1], s[-3, 1:-1]
+    if lo == 0:
+        s[0, 1:-1], d[0, 1:-1] = d[2, 1:-1], s[2, 1:-1]
+    s[:, -1], d[:, -1] = sign * d[:, -3], sign * s[:, -3]
+    if lo == 0:
+        s[:, 0], d[:, 0] = sign * d[:, 2], sign * s[:, 2]
+    s_new = s[2:, 2:] + s[:-2, :-2]
+    s_new *= 0.25 * eta
+    s_new += (0.5 - 0.5 * eta) * s[1:-1, 1:-1]
+    d_new = d[2:, :-2] + d[:-2, 2:]
+    d_new *= 0.25 * eta
+    d_new += (0.5 - 0.5 * eta) * d[1:-1, 1:-1]
+    np.add(s_new, d_new, out=wa)
+    np.subtract(s_new, d_new, out=wb)
+
+
 def momentum_distribution(rho: DensityMatrix) -> np.ndarray:
     """Populations diag(rho), clipped of numerical imaginary residue."""
     return np.real(np.diag(rho.matrix)).copy()
@@ -303,42 +388,67 @@ def evolve_density(
 ) -> EvolutionRecord:
     """Apply n_kicks of (unitary cycle, then decoherence channel).
 
-    The cycle conjugates the parity blocks of rho separately; the even-odd
-    blocks only when rho0 has any, since neither the cycle nor the channel
-    creates them.  Records diag(rho) every kick and the full density matrix
-    at the requested checkpoints.  Tracks the largest population reaching
-    the ladder edges, where the periodic wrap is unphysical.
+    rho stays in its parity blocks (see _framed): the cycle conjugates each
+    block, the channel acts on the blocks, and the populations are read from
+    their diagonals; the blocks are merged back into the momentum basis only
+    at the requested checkpoints.  The even-odd blocks are evolved only when
+    rho0 has any, since neither the cycle nor the channel creates them.
+
+    Each kick works on the trailing [w:, w:] corner of the blocks, w being the
+    first index with a nonzero row or column: every entry outside it is an
+    exact zero (block entries below _FLUSH_BELOW are zeroed after each cycle),
+    and the cycle's result is confined to [r:, r:], r the first row that a
+    column of U's blocks from w onward reaches.  Records diag(rho) every kick
+    and the full density matrix at the requested checkpoints.  Tracks the
+    largest population reaching the ladder edges, where the periodic wrap is
+    unphysical.
     """
+    if not 0.0 <= eta <= 1.0:
+        raise ParameterError(f"eta must lie in [0, 1], got {eta}")
     ue, ueo, uoe, uo = _parity_split(floquet.matrix)
     leak = max(np.abs(ueo).max(initial=0.0), np.abs(uoe).max(initial=0.0))
     if leak > UNITARITY_TOL:
         raise ParameterError(f"Floquet operator breaks momentum parity: even-odd block entry {leak:.3e}")
-    ue, uo = _flush_tiny(ue), _flush_tiny(uo)
-    ued, uod = ue.conj().T, uo.conj().T
-    rho = DensityMatrix(rho0.matrix.copy())
-    ee, eo, oe, oo = _parity_split(rho.matrix)
+    h = floquet.size // 2
+    # In the frame, rho's fixed-point rows and columns carry sqrt(2), so U's
+    # fixed-point rows gain sqrt(2) and its fixed-point columns lose it.
+    ua, ub = _framed(_flush_tiny(ue), h), _framed(_flush_tiny(uo), h)
+    ua[:, [0, h]] *= 0.5
+    ub[:, [0, h]] *= 0.5
+    reach = np.minimum(_reach(ua), _reach(ub))
+    ee, eo, oe, oo = _parity_split(rho0.matrix)
+    frames = [_framed(ee, h), _framed(oo, h)]
+    factors = [(ua, ua.conj().T), (ub, ub.conj().T)]
     cross = bool(np.any(eo) or np.any(oe))
-    pops = [momentum_distribution(rho)]
-    kicks = [0]
-    checks = {}
-    if 0 in checkpoint_kicks:
-        checks[0] = rho
-    edge_max = float(max(pops[0][0], pops[0][-1]))
+    if cross:
+        frames += [_framed(eo, h), _framed(oe, h)]
+        factors += [(ua, ub.conj().T), (ub, ua.conj().T)]
+    w = _occupied_from(frames, 0)
+
+    pops = np.empty((n_kicks + 1, 2 * h))
+    pops[0] = momentum_distribution(rho0)
+    checks = {0: DensityMatrix(rho0.matrix.copy())} if 0 in checkpoint_kicks else {}
     for kick in range(1, n_kicks + 1):
-        ee, oo = _flush_tiny(ue @ ee @ ued), _flush_tiny(uo @ oo @ uod)
-        if cross:
-            eo, oe = _flush_tiny(ue @ eo @ uod), _flush_tiny(uo @ oe @ ued)
-        rho = DensityMatrix(_parity_merge(ee, eo, oe, oo))
+        r = min(int(reach[w]), w)
+        for f, (left, right) in zip(frames, factors):
+            f[r:, r:] = _flush_tiny(left[r:, w:] @ f[w:, w:] @ right[w:, r:])
+        w = _occupied_from(frames, r)
         if eta > 0.0:
-            rho = apply_decoherence(rho, eta)
-        p = momentum_distribution(rho)
-        pops.append(p)
-        kicks.append(kick)
-        edge_max = max(edge_max, float(p[0]), float(p[-1]))
+            w = max(w - 1, 0)
+            _channel(frames[0], frames[1], eta, w, 1.0)
+            if cross:
+                _channel(frames[2], frames[3], eta, w, -1.0)
+        # diag(rho) at j and at its mirror N - j: (ee + oo)/2 +- (eo + oe)/2 in the frame.
+        s = 0.5 * (frames[0].diagonal() + frames[1].diagonal()).real
+        c = 0.5 * (frames[2].diagonal() + frames[3].diagonal()).real if cross else 0.0
+        pops[kick, :h + 1] = s + c
+        pops[kick, h + 1:] = (s - c)[h - 1:0:-1]
         if kick in checkpoint_kicks:
-            checks[kick] = rho
-        ee, eo, oe, oo = _parity_split(rho.matrix, cross)
-    return EvolutionRecord(np.array(kicks), np.array(pops), checks, edge_max)
+            shapes = [(h + 1, h + 1), (h - 1, h - 1), (h + 1, h - 1), (h - 1, h + 1)]
+            ee, oo, eo, oe = [_unframed(f, shape) for f, shape in zip(frames, shapes)] + [None] * (4 - len(frames))
+            checks[kick] = DensityMatrix(_parity_merge(ee, eo, oe, oo))
+    edge_max = float(pops[:, [0, -1]].max())
+    return EvolutionRecord(np.arange(n_kicks + 1), pops, checks, edge_max)
 
 
 def floquet_modes(floquet: FloquetOperator) -> tuple[np.ndarray, np.ndarray]:

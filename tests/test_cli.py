@@ -339,11 +339,14 @@ class TestStrictConfig:
             ("transport", "kick_spread_rms = 0.0", "kick_spread_rms = nan"),
             ("transport", "kick_strength = 270", "kick_strength = inf"),
             ("transport", "eta_values = 0 0.0187 0.0503", "eta_values = 0 nan"),
+            ("transport", "kick_spread_rms = 0.0", "kick_spread_rms = 0.05"),
+            ("wigner", "kick_spread_rms = 0.0", "kick_spread_rms = 0.05"),
+            ("waterfall", "kick_spread_rms = 0.0", "kick_spread_rms = 0.05"),
         ],
         ids=[
             "params-key", "section", "checkpoint-kicks", "poincare-seeds", "flux-seeds", "physical-key", "ladder",
             "flux-boundary-nan", "poincare-rho-max-nan", "transport-boundary-nan", "sigma-nan", "spread-nan",
-            "kick-inf", "eta-nan",
+            "kick-inf", "eta-nan", "spread-transport", "spread-wigner", "spread-waterfall",
         ],
     )
     def test_rejected_before_running(self, tmp_path, capsys, scenario, old, new):

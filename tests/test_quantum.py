@@ -4,7 +4,8 @@ The Floquet builder is checked against two independent routes: a dense
 scipy.linalg.expm product and a split-step FFT propagator.  The
 spontaneous-emission channel is checked against a hand-rolled convolution
 random walk and against np.roll.  The parity-block evolution is checked
-against the dense orthogonal parity transform and a dense U rho U^dag loop.
+against the dense orthogonal parity transform and a dense U rho U^dag loop,
+and the channel on the parity blocks against np.roll.
 """
 
 import numpy as np
@@ -23,7 +24,15 @@ from cantori import (
     momentum_distribution,
     momentum_ladder,
 )
-from cantori.quantum import UNITARITY_TOL, FloquetOperator, _parity_merge, _parity_split
+from cantori.quantum import (
+    UNITARITY_TOL,
+    FloquetOperator,
+    _channel,
+    _framed,
+    _parity_merge,
+    _parity_split,
+    _unframed,
+)
 
 
 def split_step_floquet(N, k, hbar_k, train, substeps=200):
@@ -226,6 +235,12 @@ class TestEvolution:
         )
         assert rec.edge_population_max > 0.01
 
+    def test_eta_out_of_range(self, paper_train):
+        flo = build_floquet(8, 5.0, 2.6, paper_train)
+        for eta in (-0.1, 1.1):
+            with pytest.raises(ParameterError, match="eta"):
+                evolve_density(DensityMatrix.pure(8, 0), flo, eta, 0)
+
     def test_state_stays_physical(self, paper_train):
         N = 32
         flo = build_floquet(N, 15.0, 2.6, paper_train)
@@ -310,20 +325,30 @@ class TestParityBlocks:
 
     @pytest.mark.parametrize("eta", [0.0, 0.1])
     @pytest.mark.parametrize(
-        "make_rho",
+        "make_rho,k,edge",
         [
-            lambda: DensityMatrix.pure(8, -2),
-            lambda: DensityMatrix.from_state(
-                np.random.default_rng(3).normal(size=32) + 1j * np.random.default_rng(4).normal(size=32)
+            (lambda: DensityMatrix.pure(8, -2), 25.0, None),
+            (
+                lambda: DensityMatrix.from_state(
+                    np.random.default_rng(3).normal(size=32) + 1j * np.random.default_rng(4).normal(size=32)
+                ),
+                25.0,
+                None,
             ),
-            lambda: DensityMatrix.thermal(32, 2.6, 8.0),
+            (lambda: DensityMatrix.thermal(32, 2.6, 8.0), 25.0, None),
+            # Support |n| <= 58 of 64 at every kick: the blocks are evolved on a partial window.
+            (lambda: DensityMatrix.thermal(128, 2.6, 3.0), 10.0, "empty"),
+            # Support across the ladder edge from the first kick: the channel wraps.
+            (lambda: DensityMatrix.pure(16, 5), 25.0, "occupied"),
+            # |0><-30|: the occupied rows and columns differ, and the window must hold both.
+            (lambda: DensityMatrix(np.outer(np.eye(128)[64], np.eye(128)[34])), 10.0, "empty"),
         ],
-        ids=["pure", "random", "thermal"],
+        ids=["pure", "random", "thermal", "window", "wrap", "coherence"],
     )
-    def test_evolution_matches_dense_loop(self, paper_train, make_rho, eta):
+    def test_evolution_matches_dense_loop(self, paper_train, make_rho, k, edge, eta):
         rho0 = make_rho()
         N, n_kicks = rho0.size, 12
-        flo = build_floquet(N, 25.0, 2.6, paper_train)
+        flo = build_floquet(N, k, 2.6, paper_train)
         rec = evolve_density(rho0, flo, eta, n_kicks, checkpoint_kicks=(5, n_kicks))
         u, m = flo.matrix, rho0.matrix
         for kick in range(1, n_kicks + 1):
@@ -331,6 +356,23 @@ class TestParityBlocks:
             assert np.abs(rec.populations[kick] - np.real(np.diag(m))).max() < 1e-12
             if kick in rec.checkpoints:
                 assert np.abs(rec.checkpoints[kick].matrix - m).max() < 1e-12
+        last_edges = rec.populations[-1][[0, -1]]
+        if edge == "empty":
+            assert np.all(last_edges == 0.0)
+        elif edge == "occupied":
+            assert np.all(last_edges > 0.0)
+
+    def test_window_takes_every_row_the_operator_reaches(self):
+        """A U that swaps the ladder edge (index 0) with n = 0 (index h) moves
+        population from the last row of the window to row 0."""
+        N, h = 16, 8
+        swap = np.arange(N)
+        swap[[0, h]] = h, 0
+        weights = np.zeros(N)
+        weights[[2, N - 2, h]] = 0.25, 0.25, 0.5
+        flo = FloquetOperator(np.eye(N, dtype=complex)[swap], 0.0, 2.6)
+        rec = evolve_density(DensityMatrix(np.diag(weights)), flo, 0.0, 1)
+        np.testing.assert_allclose(rec.populations[1], weights[swap], atol=1e-15)
 
     @pytest.mark.parametrize(
         "u",
@@ -350,3 +392,26 @@ class TestParityBlocks:
         m = a @ a.conj().T
         m /= np.trace(m).real
         np.testing.assert_allclose(apply_decoherence(DensityMatrix(m), 0.3).matrix, dense_channel(m, 0.3), atol=1e-15)
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 16])
+    @pytest.mark.parametrize("cross", [False, True], ids=["parity-even", "even-odd"])
+    def test_block_channel_matches_roll(self, N, cross):
+        """The channel on the framed parity blocks, boundary rows and periodic wrap included."""
+        rng = np.random.default_rng(N)
+        a = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        m = a @ a.conj().T
+        m /= np.trace(m).real
+        if not cross:
+            mirror = np.eye(N)[(N - np.arange(N)) % N]
+            m = 0.5 * (m + mirror @ m @ mirror)
+        h = N // 2
+        blocks = _parity_split(m)
+        assert (np.any(blocks[1]) or np.any(blocks[2])) == (cross and N > 2)
+        ee, eo, oe, oo = (_framed(x, h) for x in blocks)
+        _channel(ee, oo, 0.3, 0, 1.0)
+        _channel(eo, oe, 0.3, 0, -1.0)
+        out = _parity_merge(*(_unframed(f, x.shape) for f, x in zip((ee, eo, oe, oo), blocks)))
+        np.testing.assert_allclose(out, dense_channel(m, 0.3), atol=1e-15)
+        # The frame positions that no odd row or column fills stay exactly 0.
+        assert not np.any(oo[[0, h]]) and not np.any(oo[:, [0, h]])
+        assert not np.any(eo[:, [0, h]]) and not np.any(oe[[0, h]])
