@@ -40,7 +40,7 @@ from .quantum import (
     momentum_distribution,
     momentum_ladder,
 )
-from .wigner import WignerGrid, coarse_grain, negativity_volume, toroidal_wigner
+from .wigner import WignerGrid, coarse_grain, coarse_wigner, negativity_volume, toroidal_wigner
 from .analysis import (
     TransportCurve,
     fraction_outside_classical,

@@ -93,7 +93,6 @@ class Scenario(NamedTuple):
     run: Callable[[RunConfig, Path, dict], None]
     description: str
     options: dict[str, Option]
-    quantum: bool = False   # evolves the density matrix, which has no kick-strength spread
 
 
 @dataclass
@@ -236,9 +235,9 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(scenario, output_dir, params, dict(cp[scenario]) if scenario in cp else {}, physical)
     for name in SCENARIOS[scenario].options:
         cfg.option(name)
-    if SCENARIOS[scenario].quantum and params.kick_spread_rms > 0.0:
-        raise ConfigError(f"[params] kick_spread_rms = {params.kick_spread_rms}: the quantum evolution of "
-                          f"{scenario} has no kick-strength spread; set it to 0")
+    if params.kick_spread_rms > 0.0:
+        raise ConfigError(f"[params] kick_spread_rms = {params.kick_spread_rms}: no scenario applies a "
+                          f"kick-strength spread; set it to 0")
     # Beyond the last ladder site the quantum fraction outside reads 0 by construction.
     edge = params.basis_size / 2 * params.scaled_planck
     if scenario == "transport" and cfg.option("boundary_over_pi") * np.pi >= edge:
@@ -262,21 +261,31 @@ def _write_text(outdir: Path, name: str, text, files: dict) -> None:
     files[name] = digest.hexdigest()
 
 
+def _templates(prefixes: list[str], tail: str) -> list[str]:
+    """One % template per _SAVETXT_ROWS-row chunk, row i reading prefixes[i] + tail."""
+    return [tail.join(prefixes[s:s + _SAVETXT_ROWS]) + tail for s in range(0, len(prefixes), _SAVETXT_ROWS)]
+
+
+def _write_rows(outdir: Path, name: str, templates: list[str], data, header: str, files: dict) -> None:
+    """Write "# "-prefixed header lines, then each chunk's template % that chunk's rows of data."""
+    data = np.asarray(data)
+
+    def parts():
+        if header:
+            yield "# " + header.replace("\n", "\n# ") + "\n"
+        for start, template in zip(range(0, len(data), _SAVETXT_ROWS), templates):
+            yield template % tuple(data[start:start + _SAVETXT_ROWS].ravel().tolist())
+
+    _write_text(outdir, name, parts(), files)
+
+
 def _savetxt(outdir: Path, name: str, data, header: str, files: dict, fmt="%.10g") -> None:
     """The bytes np.savetxt(data, fmt=fmt, header=header, comments="# ") writes, chunk by chunk."""
     data = np.asarray(data)
     if data.ndim == 1:
         data = data[:, None]
     row = " ".join([fmt] * data.shape[1]) + "\n"
-
-    def parts():
-        if header:
-            yield "# " + header.replace("\n", "\n# ") + "\n"
-        for start in range(0, len(data), _SAVETXT_ROWS):
-            chunk = data[start:start + _SAVETXT_ROWS]
-            yield row * len(chunk) % tuple(chunk.ravel().tolist())
-
-    _write_text(outdir, name, parts(), files)
+    _write_rows(outdir, name, _templates([""] * len(data), row), data, header, files)
 
 
 def _quantum_start(p: SimParams) -> tuple[quantum.DensityMatrix, quantum.FloquetOperator]:
@@ -356,22 +365,21 @@ def _scenario_wigner(cfg: RunConfig, outdir: Path, files: dict) -> None:
     p = cfg.params
     checkpoints = cfg.option("checkpoint_kicks")
     rho0, floquet = _quantum_start(p)
+    # The X and P columns repeat in every grid: format them once, X-major as np.meshgrid(..., indexing="ij").
+    xs, ps = (["%.10g" % v for v in axis.tolist()] for axis in wigner.coarse_axes(p.basis_size, p.scaled_planck))
+    templates = _templates([f"{x} {q} " for x in xs for q in ps], "%.10g\n")
     summary = ["# eta kick negativity_volume file"]
     for eta in cfg.option("eta_values"):
         rec = quantum.evolve_density(rho0, floquet, eta, max(checkpoints), checkpoints)
         for kick in checkpoints:
-            grid = wigner.toroidal_wigner(rec.checkpoints[kick], p.scaled_planck)
-            coarse = grid.coarse()
-            xc, pc = grid.coarse_axes()
+            coarse = wigner.coarse_wigner(rec.checkpoints[kick], p.scaled_planck)
             name = f"wigner_eta_{eta:g}_kick_{kick}.dat"
-            xx, pp = np.meshgrid(xc, pc, indexing="ij")
-            _savetxt(
-                outdir, name,
-                np.column_stack([xx.ravel(), pp.ravel(), coarse.T.ravel()]),
+            _write_rows(
+                outdir, name, templates, coarse.T.ravel(),
                 f"coarse toroidal Wigner function, k={p.kick_strength}, eta={eta:g}, kick={kick}\nX P w",
                 files,
             )
-            summary.append(f"{eta:g} {kick} {wigner.negativity_volume(grid):.10g} {name}")
+            summary.append(f"{eta:g} {kick} {wigner.coarse_negativity(coarse, p.scaled_planck):.10g} {name}")
     _write_text(outdir, "negativity.dat", "\n".join(summary) + "\n", files)
 
 
@@ -403,13 +411,11 @@ SCENARIOS = {
         _scenario_transport,
         "fraction outside the KAM boundary vs kick number, classical + quantum eta sweep",
         {"eta_values": Option(_etas, "{se_probability}"), "boundary_over_pi": Option(_finite, "10")},
-        quantum=True,
     ),
     "waterfall": Scenario(
         _scenario_waterfall,
         "per-kick quantum momentum distributions",
         {"n_kicks": Option(int, "{n_kicks}")},
-        quantum=True,
     ),
     "poincare": Scenario(
         _scenario_poincare,
@@ -421,7 +427,6 @@ SCENARIOS = {
         _scenario_wigner,
         "coarse-grained toroidal Wigner snapshots and negativity, per eta",
         {"eta_values": Option(_etas, "{se_probability}"), "checkpoint_kicks": Option(_kicks, "{n_kicks}")},
-        quantum=True,
     ),
     "flux": Scenario(
         _scenario_flux,

@@ -9,6 +9,12 @@ with the half-sum/half-difference indices folded onto the periodic ladder
 n = -N/2 ... N/2-1 (mod N).  Pairing the j and 2N-j terms with Hermiticity
 makes w real, and summing over k gives the momentum marginal
 2N * <l/2|rho|l/2> on even-l rows and zero on odd rows.
+
+The diagnostics read only the N x N grid of 2x2 cell averages, which
+coarse_wigner computes without the doubled grid: summing a cell's k pair
+multiplies the j-th term by exp(2*pi*i*j*K/N) * (1 + exp(i*pi*j/N)), and the
+parity mask keeps exactly one l of the cell's pair, so the cell (L, K) is
+(1/4) * sum_j over 2N terms, folded onto a length-N inverse FFT over j.
 """
 
 from __future__ import annotations
@@ -38,10 +44,25 @@ class WignerGrid:
         return coarse_grain(self.values)
 
     def coarse_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            self.x.reshape(-1, 2).mean(axis=1),
-            self.p.reshape(-1, 2).mean(axis=1),
-        )
+        return coarse_axes(self.basis_size, self.hbar_k)
+
+
+def _axes(n: int, hbar_k: float) -> tuple[np.ndarray, np.ndarray]:
+    """X_k = pi*k/N (k = 0 ... 2N-1) and P_l = (hbar_k/2)*l (l = -N ... N-1)."""
+    return np.pi * np.arange(2 * n) / n, 0.5 * hbar_k * np.arange(-n, n)
+
+
+def coarse_axes(n: int, hbar_k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cell centres (X, P) of the N x N coarse grid, each of length N."""
+    x, p = _axes(n, hbar_k)
+    return x.reshape(-1, 2).mean(axis=1), p.reshape(-1, 2).mean(axis=1)
+
+
+def _checked_real(w: np.ndarray) -> np.ndarray:
+    imag = np.abs(w.imag).max()
+    if imag > 1e-8:
+        raise ParameterError(f"Wigner grid has imaginary residue {imag:.3e}; input not Hermitian?")
+    return w.real.T.copy()
 
 
 def toroidal_wigner(rho: DensityMatrix, hbar_k: float) -> WignerGrid:
@@ -54,20 +75,30 @@ def toroidal_wigner(rho: DensityMatrix, hbar_k: float) -> WignerGrid:
     N = rho.size
     two_n = 2 * N
 
-    j = np.arange(two_n)
+    j = np.arange(two_n)[:, None]
     l = np.arange(-N, N)
-    jj, ll = np.meshgrid(j, l, indexing="ij")
-    parity = (ll + jj) % 2 == 0
     # Ladder values (l +- j)/2 folded onto matrix indices (value + N/2) mod N.
-    a = ((ll + jj) // 2 + N // 2) % N
-    b = ((ll - jj) // 2 + N // 2) % N
-    g = np.where(parity, m[a, b], 0.0)
+    g = m[((l + j) // 2 + N // 2) % N, ((l - j) // 2 + N // 2) % N]
+    g[j % 2 != l % 2] = 0.0         # odd l + j
 
-    w = two_n * np.fft.ifft(g, axis=0)
-    imag = np.abs(w.imag).max()
-    if imag > 1e-8:
-        raise ParameterError(f"Wigner grid has imaginary residue {imag:.3e}; input not Hermitian?")
-    return WignerGrid(w.real.T.copy(), np.pi * j / N, 0.5 * hbar_k * l, hbar_k)
+    w = np.fft.ifft(g, axis=0)
+    w *= two_n
+    return WignerGrid(_checked_real(w), *_axes(N, hbar_k), hbar_k)
+
+
+def coarse_wigner(rho: DensityMatrix, hbar_k: float) -> np.ndarray:
+    """toroidal_wigner(rho, hbar_k).coarse() without the doubled grid: (N, N), P along axis 0."""
+    m = rho.matrix
+    N = rho.size
+
+    j = np.arange(2 * N)[:, None]
+    l = 2 * np.arange(N) - N + j % 2           # the l of each cell's pair with l + j even (N is even)
+    g = m[((l + j) // 2 + N // 2) % N, ((l - j) // 2 + N // 2) % N]
+    g *= 1.0 + np.exp(1j * np.pi * j / N)      # the cell's k pair
+
+    w = np.fft.ifft(g[:N] + g[N:], axis=0)
+    w *= N / 4
+    return _checked_real(w)
 
 
 def coarse_grain(values: np.ndarray) -> np.ndarray:
@@ -79,13 +110,16 @@ def coarse_grain(values: np.ndarray) -> np.ndarray:
     return values.reshape(r // 2, 2, c // 2, 2).mean(axis=(1, 3))
 
 
-def negativity_volume(grid: WignerGrid) -> float:
-    """Integrated magnitude of the negative regions of the coarse-grained grid.
+def coarse_negativity(coarse: np.ndarray, hbar_k: float) -> float:
+    """Integrated magnitude of the negative cells of an N x N coarse grid.
 
     Cell area on the coarse grid is (2*pi/N) * hbar_k.
     """
-    coarse = grid.coarse()
-    n = grid.basis_size
-    cell_area = (2.0 * np.pi / n) * grid.hbar_k
+    cell_area = (2.0 * np.pi / coarse.shape[0]) * hbar_k
     neg = coarse[coarse < 0.0]
     return float(-neg.sum() * cell_area)
+
+
+def negativity_volume(grid: WignerGrid) -> float:
+    """Integrated magnitude of the negative regions of the coarse-grained grid."""
+    return coarse_negativity(grid.coarse(), grid.hbar_k)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cantori import cli
+from cantori import cli, quantum, wigner
 from cantori.cli import (
     DEFAULT_CONFIG,
     SCENARIOS,
@@ -243,6 +243,29 @@ class TestSavetxt:
         assert (tmp_path / "x.dat").read_bytes() == expected
         assert files["x.dat"] == hashlib.sha256(expected).hexdigest()
 
+    def test_wigner_grid_matches_numpy(self, tmp_path, monkeypatch):
+        """The grid files, written from per-scenario X P templates, equal np.savetxt of the three columns."""
+        monkeypatch.setattr(cli, "_SAVETXT_ROWS", 100)     # 256 rows: two full chunks and a partial one
+        text = TINY.format(out=tmp_path).replace("scenario = transport", "scenario = wigner")
+        text = text.replace("scaled_planck = 2.6", "scaled_planck = 1.7")
+        cfg = parse_config(text + "\n[wigner]\neta_values = 0 0.2\ncheckpoint_kicks = 2 3\n")
+        outdir, manifest = run_scenario(cfg, stamp="x")
+        p = cfg.params
+        N = p.basis_size
+        xc = (np.pi * np.arange(2 * N) / N).reshape(-1, 2).mean(axis=1)
+        pc = (0.5 * p.scaled_planck * np.arange(-N, N)).reshape(-1, 2).mean(axis=1)
+        xx, pp = np.meshgrid(xc, pc, indexing="ij")
+        rho0, floquet = cli._quantum_start(p)
+        for eta in (0.0, 0.2):
+            rec = quantum.evolve_density(rho0, floquet, eta, 3, (2, 3))
+            for kick in (2, 3):
+                w = wigner.coarse_wigner(rec.checkpoints[kick], p.scaled_planck)
+                buf = io.StringIO()
+                header = f"coarse toroidal Wigner function, k={p.kick_strength}, eta={eta:g}, kick={kick}\nX P w"
+                np.savetxt(buf, np.column_stack([xx.ravel(), pp.ravel(), w.T.ravel()]), header=header,
+                           comments="# ", fmt="%.10g")
+                assert (outdir / f"wigner_eta_{eta:g}_kick_{kick}.dat").read_bytes() == buf.getvalue().encode()
+
 
 class TestMain:
     def test_list_scenarios(self, capsys):
@@ -342,11 +365,14 @@ class TestStrictConfig:
             ("transport", "kick_spread_rms = 0.0", "kick_spread_rms = 0.05"),
             ("wigner", "kick_spread_rms = 0.0", "kick_spread_rms = 0.05"),
             ("waterfall", "kick_spread_rms = 0.0", "kick_spread_rms = 0.05"),
+            ("flux", "kick_spread_rms = 0.0", "kick_spread_rms = 0.05"),
+            ("poincare", "kick_spread_rms = 0.0", "kick_spread_rms = 0.05"),
         ],
         ids=[
             "params-key", "section", "checkpoint-kicks", "poincare-seeds", "flux-seeds", "physical-key", "ladder",
             "flux-boundary-nan", "poincare-rho-max-nan", "transport-boundary-nan", "sigma-nan", "spread-nan",
-            "kick-inf", "eta-nan", "spread-transport", "spread-wigner", "spread-waterfall",
+            "kick-inf", "eta-nan", "spread-transport", "spread-wigner", "spread-waterfall", "spread-flux",
+            "spread-poincare",
         ],
     )
     def test_rejected_before_running(self, tmp_path, capsys, scenario, old, new):

@@ -5,11 +5,14 @@ import pytest
 
 from cantori import (
     DensityMatrix,
+    WignerGrid,
     coarse_grain,
+    coarse_wigner,
     negativity_volume,
     toroidal_wigner,
 )
 from cantori.model import ParameterError
+from cantori.wigner import coarse_negativity
 
 
 def random_density(N, seed):
@@ -36,6 +39,39 @@ def wigner_direct(rho, hbar_k):
             w[il, k] = total
     assert np.abs(w.imag).max() < 1e-9
     return w.real
+
+
+def toroidal_wigner_meshgrid(rho, hbar_k):
+    """The meshgrid-and-np.where form of toroidal_wigner, kept as its bitwise reference."""
+    m = rho.matrix
+    N = rho.size
+    two_n = 2 * N
+    j = np.arange(two_n)
+    l = np.arange(-N, N)
+    jj, ll = np.meshgrid(j, l, indexing="ij")
+    parity = (ll + jj) % 2 == 0
+    a = ((ll + jj) // 2 + N // 2) % N
+    b = ((ll - jj) // 2 + N // 2) % N
+    g = np.where(parity, m[a, b], 0.0)
+    w = two_n * np.fft.ifft(g, axis=0)
+    return WignerGrid(w.real.T.copy(), np.pi * j / N, 0.5 * hbar_k * l, hbar_k)
+
+
+def coherence(N, n, m):
+    """|n><m| + |m><n| on ladder values n != m: Hermitian, off-diagonal, trace 0."""
+    out = np.zeros((N, N), dtype=complex)
+    out[n + N // 2, m + N // 2] = out[m + N // 2, n + N // 2] = 1.0
+    return DensityMatrix(out)
+
+
+def states(N):
+    rng = np.random.default_rng(N)
+    return {
+        "thermal": DensityMatrix.thermal(N, 2.6, 3.0),
+        "pure": DensityMatrix.pure(N, -1),
+        "from_state": DensityMatrix.from_state(rng.normal(size=N) + 1j * rng.normal(size=N)),
+        "coherence": coherence(N, -N // 2, N // 2 - 1),
+    }
 
 
 class TestTransform:
@@ -90,6 +126,32 @@ class TestTransform:
         with pytest.raises(ParameterError):
             toroidal_wigner(DensityMatrix(m), 2.6)
 
+    @pytest.mark.parametrize("N", [2, 4, 16, 128])
+    @pytest.mark.parametrize("state", ["thermal", "pure", "from_state", "coherence"])
+    def test_bitwise_equal_to_meshgrid_form(self, N, state):
+        rho = states(N)[state]
+        grid, ref = toroidal_wigner(rho, 2.6), toroidal_wigner_meshgrid(rho, 2.6)
+        for name in ("values", "x", "p"):
+            assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
+
+
+class TestCoarseWigner:
+    @pytest.mark.parametrize("N", [2, 4, 16, 128])
+    @pytest.mark.parametrize("state", ["thermal", "pure", "from_state", "coherence"])
+    def test_matches_coarse_grained_grid(self, N, state):
+        rho = states(N)[state]
+        ref = toroidal_wigner(rho, 2.6).coarse()
+        coarse = coarse_wigner(rho, 2.6)
+        assert coarse.shape == (N, N) and coarse.dtype == np.float64
+        assert np.abs(coarse - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("where", [(0, 1), (2, 0), (1, 3)])
+    def test_non_hermitian_raises(self, where):
+        m = np.eye(4, dtype=complex) / 4
+        m[where] = 0.5
+        with pytest.raises(ParameterError):
+            coarse_wigner(DensityMatrix(m), 2.6)
+
 
 class TestCoarseGrain:
     def test_explicit_example(self):
@@ -127,6 +189,11 @@ class TestNegativity:
         psi[N // 2] = psi[N // 2 + 2] = 1.0
         rho = DensityMatrix.from_state(psi)
         assert negativity_volume(toroidal_wigner(rho, 2.6)) > 0.01
+
+    def test_coarse_grid_gives_the_same_volume(self):
+        rho = random_density(16, seed=4)
+        assert coarse_negativity(coarse_wigner(rho, 2.6), 2.6) == pytest.approx(
+            negativity_volume(toroidal_wigner(rho, 2.6)), rel=1e-13)
 
     def test_decoherence_reduces_it(self):
         from cantori import apply_decoherence
