@@ -35,8 +35,6 @@ from .quantum import (
     build_floquet,
     build_hamiltonians,
     evolve_density,
-    evolve_state_floquet,
-    floquet_modes,
     momentum_distribution,
     momentum_ladder,
 )

@@ -20,7 +20,10 @@ to the last: it conjugates each block separately, a quarter of the dense N^3
 work when the state has no even-odd coherence (every thermal state), applies
 the channel to the blocks directly, reads the populations from their
 diagonals, and returns to the momentum basis only for the checkpoints.  Each
-kick works only on the block rows and columns that hold nonzero entries.
+kick works only on the block rows and columns that hold nonzero entries (from
+index w), and of those its product reaches (from r) it computes only the ones
+from rr on: a bound on each row and column proves that the flush of tiny
+entries would clear the others (see _surviving_from).
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .model import ParameterError, PulseTrain
 
@@ -128,7 +130,8 @@ _SQRT_HALF = np.sqrt(0.5)
 # diagonal, so without the cut the far tails of rho sink into subnormal
 # numbers, on which BLAS runs several times slower.  A product of three
 # entries of at least 1e-90 stays a normal double, and entries that small
-# lie far below the rounding error of the populated ones.
+# lie far below the rounding error of the populated ones.  Product rows and
+# columns bounded below half the cut are not computed (see _surviving_from).
 _FLUSH_BELOW = 1e-90
 
 
@@ -272,16 +275,40 @@ def _reach(u: np.ndarray) -> np.ndarray:
 
 
 def _occupied_from(frames: list, lo: int) -> int:
-    """The first index >= lo at which a row or a column of some frame is nonzero.
+    """The first index >= lo at which a row or a column of some frame is nonzero (lo if none).
 
-    Every frame must be zero in its rows and columns below lo.
+    Every frame must be zero in its rows and columns below lo, so at index j
+    only row j from column j on and column j from row j on can be nonzero.
     """
-    hit = np.zeros(len(frames[0]) - lo, bool)
-    for f in frames:
-        nonzero = f[lo:, lo:] != 0
-        hit |= nonzero.any(axis=0)
-        hit |= nonzero.any(axis=1)
-    return lo + int(np.argmax(hit))
+    for j in range(lo, len(frames[0])):
+        if any(f[j, j:].any() or f[j:, j].any() for f in frames):
+            return j
+    return lo
+
+
+def _surviving_from(frames: list, factors: list, r: int, w: int) -> int:
+    """The first index rr >= r at which a row or a column of some frame's next
+    product may survive the flush (r if none may; a NaN bound counts).
+
+    Each factor tuple is (left, right, top |left|, top |right|), top the
+    largest entry modulus of any factor.  With L = left[r:, w:],
+    f = f[w:, w:] and R = right[w:, r:], row i of L f R is bounded by
+    b_i = top sum_k |L_ik| c_k, where c_k = sum_l (|Re f_kl| + |Im f_kl|)
+    >= sum_l |f_kl| and top >= max|R|, and column j by top sum_l d_l |R_lj|,
+    d_l the same sums over the columns of f.  A row or column may survive if
+    its bound reaches _FLUSH_BELOW / 2.  Below that, every computed entry,
+    rounding included, is at most (1 + n*eps) b < _FLUSH_BELOW in modulus, so
+    _flush_tiny would zero both of its parts.  The nonzero entries of U's
+    flushed blocks exceed 1e-91, so b does not underflow; a term that did
+    would move it by some 1e-320, far inside the factor 2 margin.
+    """
+    hit = np.zeros(len(frames[0]) - r, bool)
+    for f, (_, _, abs_left, abs_right) in zip(frames, factors):
+        parts = np.abs(f[w:, w:].view(np.float64))
+        sums = parts[:, ::2] + parts[:, 1::2]
+        hit |= ~(abs_left[r:, w:] @ sums.sum(axis=1) < 0.5 * _FLUSH_BELOW)
+        hit |= ~(sums.sum(axis=0) @ abs_right[w:, r:] < 0.5 * _FLUSH_BELOW)
+    return r + int(np.argmax(hit))
 
 
 def build_floquet(N: int, k: float, hbar_k: float, train: PulseTrain) -> FloquetOperator:
@@ -398,7 +425,10 @@ def evolve_density(
     first index with a nonzero row or column: every entry outside it is an
     exact zero (block entries below _FLUSH_BELOW are zeroed after each cycle),
     and the cycle's result is confined to [r:, r:], r the first row that a
-    column of U's blocks from w onward reaches.  Records diag(rho) every kick
+    column of U's blocks from w onward reaches.  Only [rr:, rr:] of it is
+    computed: the rows and columns r ... rr-1, whose bound lies below
+    _FLUSH_BELOW / 2, are set to the zeros the flush would leave (see
+    _surviving_from).  rr may exceed w.  Records diag(rho) every kick
     and the full density matrix at the requested checkpoints.  Tracks the
     largest population reaching the ladder edges, where the periodic wrap is
     unphysical.
@@ -416,13 +446,17 @@ def evolve_density(
     ua[:, [0, h]] *= 0.5
     ub[:, [0, h]] *= 0.5
     reach = np.minimum(_reach(ua), _reach(ub))
+    abs_a, abs_b = np.abs(ua), np.abs(ub)
+    top = max(abs_a.max(), abs_b.max())
+    abs_a *= top
+    abs_b *= top
     ee, eo, oe, oo = _parity_split(rho0.matrix)
     frames = [_framed(ee, h), _framed(oo, h)]
-    factors = [(ua, ua.conj().T), (ub, ub.conj().T)]
+    factors = [(ua, ua.conj().T, abs_a, abs_a.T), (ub, ub.conj().T, abs_b, abs_b.T)]
     cross = bool(np.any(eo) or np.any(oe))
     if cross:
         frames += [_framed(eo, h), _framed(oe, h)]
-        factors += [(ua, ub.conj().T), (ub, ua.conj().T)]
+        factors += [(ua, ub.conj().T, abs_a, abs_b.T), (ub, ua.conj().T, abs_b, abs_a.T)]
     w = _occupied_from(frames, 0)
 
     pops = np.empty((n_kicks + 1, 2 * h))
@@ -430,9 +464,13 @@ def evolve_density(
     checks = {0: DensityMatrix(rho0.matrix.copy())} if 0 in checkpoint_kicks else {}
     for kick in range(1, n_kicks + 1):
         r = min(int(reach[w]), w)
-        for f, (left, right) in zip(frames, factors):
-            f[r:, r:] = _flush_tiny(left[r:, w:] @ f[w:, w:] @ right[w:, r:])
-        w = _occupied_from(frames, r)
+        rr = _surviving_from(frames, factors, r, w)
+        for f, (left, right, _, _) in zip(frames, factors):
+            product = _flush_tiny(left[rr:, w:] @ f[w:, w:] @ right[w:, rr:])
+            f[r:rr, r:] = 0.0
+            f[rr:, r:rr] = 0.0
+            f[rr:, rr:] = product
+        w = _occupied_from(frames, rr)
         if eta > 0.0:
             w = max(w - 1, 0)
             _channel(frames[0], frames[1], eta, w, 1.0)
@@ -449,24 +487,3 @@ def evolve_density(
             checks[kick] = DensityMatrix(_parity_merge(ee, eo, oe, oo))
     edge_max = float(pops[:, [0, -1]].max())
     return EvolutionRecord(np.arange(n_kicks + 1), pops, checks, edge_max)
-
-
-def floquet_modes(floquet: FloquetOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (eigenvalues, eigenvectors) of the cycle unitary.
-
-    Uses a complex Schur decomposition, which for a unitary (normal) matrix
-    yields an orthonormal eigenbasis: U = V diag(lam) V^dag.  Coherent n-kick
-    evolution is then V lam^n V^dag.
-    """
-    u = floquet.matrix
-    t, v = scipy.linalg.schur(u, output="complex")
-    lam = np.diag(t).copy()
-    if np.abs(np.abs(lam) - 1.0).max() > 1e-8:
-        raise ParameterError("eigenvalues deviate from the unit circle; operator not unitary")
-    return lam, v
-
-
-def evolve_state_floquet(psi0: np.ndarray, floquet: FloquetOperator, n_kicks: int) -> np.ndarray:
-    """n-kick coherent evolution of a pure state via the Floquet modes."""
-    lam, v = floquet_modes(floquet)
-    return v @ (lam**n_kicks * (v.conj().T @ psi0))

@@ -5,7 +5,9 @@ scipy.linalg.expm product and a split-step FFT propagator.  The
 spontaneous-emission channel is checked against a hand-rolled convolution
 random walk and against np.roll.  The parity-block evolution is checked
 against the dense orthogonal parity transform and a dense U rho U^dag loop,
-and the channel on the parity blocks against np.roll.
+and the channel on the parity blocks against np.roll.  The rows a kick
+skips by its bound are checked against the kick that computes them all and
+then flushes.
 """
 
 import numpy as np
@@ -19,15 +21,15 @@ from cantori import (
     build_floquet,
     build_hamiltonians,
     evolve_density,
-    evolve_state_floquet,
-    floquet_modes,
     momentum_distribution,
     momentum_ladder,
 )
+from cantori import quantum
 from cantori.quantum import (
     UNITARITY_TOL,
     FloquetOperator,
     _channel,
+    _flush_tiny,
     _framed,
     _parity_merge,
     _parity_split,
@@ -252,32 +254,6 @@ class TestEvolution:
         assert np.abs(rec.populations.sum(axis=1) - 1.0).max() < 1e-10
 
 
-class TestFloquetModes:
-    def test_reconstruction(self, paper_train):
-        flo = build_floquet(32, 12.0, 2.6, paper_train)
-        lam, v = floquet_modes(flo)
-        assert np.abs(v @ np.diag(lam) @ v.conj().T - flo.matrix).max() < 1e-12
-        assert np.abs(v.conj().T @ v - np.eye(32)).max() < 1e-12
-
-    def test_matches_repeated_application(self, paper_train):
-        """70 coherent kicks through the modes vs 70 matrix products, at the
-        production size."""
-        N = 128
-        flo = build_floquet(N, 270.0, 2.6, paper_train)
-        rng = np.random.default_rng(11)
-        psi0 = rng.normal(size=N) + 1j * rng.normal(size=N)
-        psi0 /= np.linalg.norm(psi0)
-        via_modes = evolve_state_floquet(psi0, flo, 70)
-        psi = psi0.copy()
-        for _ in range(70):
-            psi = flo.matrix @ psi
-        assert np.abs(via_modes - psi).max() < 1e-8
-
-    def test_rejects_nonunitary(self):
-        with pytest.raises(ParameterError):
-            floquet_modes(FloquetOperator(np.diag([1.0, 0.5]), 0.0, 2.6))
-
-
 def parity_transform(N):
     """Dense orthogonal T: rows e_0, (e_i + e_(N-i))/sqrt2 for i = 1 ... N/2-1, e_(N/2), then (e_i - e_(N-i))/sqrt2."""
     h = N // 2
@@ -290,6 +266,11 @@ def parity_transform(N):
 
 def dense_channel(m, eta):
     return 0.5 * eta * (np.roll(m, (-1, -1), axis=(0, 1)) + np.roll(m, (1, 1), axis=(0, 1))) + (1 - eta) * m
+
+
+def reference_products(frames, factors, r, w):
+    """The kick's products without the row bound: every row and column from r, then the flush."""
+    return [_flush_tiny(left[r:, w:] @ f[w:, w:] @ right[w:, r:]) for f, (left, right, _, _) in zip(frames, factors)]
 
 
 class TestParityBlocks:
@@ -342,8 +323,10 @@ class TestParityBlocks:
             (lambda: DensityMatrix.pure(16, 5), 25.0, "occupied"),
             # |0><-30|: the occupied rows and columns differ, and the window must hold both.
             (lambda: DensityMatrix(np.outer(np.eye(128)[64], np.eye(128)[34])), 10.0, "empty"),
+            # The paper's kick on a wider ladder: the row bound skips up to 30 rows a kick.
+            (lambda: DensityMatrix.thermal(256, 2.6, 10.0), 270.0, "empty"),
         ],
-        ids=["pure", "random", "thermal", "window", "wrap", "coherence"],
+        ids=["pure", "random", "thermal", "window", "wrap", "coherence", "skip"],
     )
     def test_evolution_matches_dense_loop(self, paper_train, make_rho, k, edge, eta):
         rho0 = make_rho()
@@ -361,6 +344,47 @@ class TestParityBlocks:
             assert np.all(last_edges == 0.0)
         elif edge == "occupied":
             assert np.all(last_edges > 0.0)
+
+    @pytest.mark.parametrize(
+        "make_rho,k,skips",
+        [
+            (lambda: DensityMatrix.thermal(256, 2.6, 10.0), 270.0, True),
+            (lambda: DensityMatrix.thermal(512, 2.6, 10.0), 270.0, True),
+            # Not Hermitian, with even-odd frames: the column bounds count.
+            (lambda: DensityMatrix(np.outer(np.eye(128)[64], np.eye(128)[34])), 10.0, False),
+            # The outer coherence is imaginary, the inner one real: the bound must count imaginary parts.
+            (lambda: DensityMatrix(np.outer(np.eye(256)[128], np.eye(256)[118]) + 1j * np.outer(np.eye(256)[88], np.eye(256)[98])), 270.0, True),
+            # Even sector only, with coherences: the first kick skips rows that hold rho0's tails.
+            (lambda: DensityMatrix.from_state(np.exp(-((momentum_ladder(256) * 2.6 / 20.0) ** 2))), 270.0, True),
+            # Odd sector only.
+            (lambda: DensityMatrix.from_state(np.eye(256)[133] - np.eye(256)[123]), 270.0, True),
+        ],
+        ids=["thermal-256", "thermal-512", "coherence", "coherence-256", "even-256", "odd-256"],
+    )
+    def test_bound_skips_only_rows_the_flush_clears(self, paper_train, monkeypatch, make_rho, k, skips):
+        """At every kick of a real run, the rows and columns r ... rr-1 that the
+        bound skips are exact zeros of the full, flushed product, and every
+        frame is exactly zero outside its window [w:, w:]."""
+        bound = quantum._surviving_from
+        seen = []
+
+        def checked(frames, factors, r, w):
+            assert not any(np.any(f[:w]) or np.any(f[:, :w]) for f in frames)
+            rr = bound(frames, factors, r, w)
+            nonzero = np.zeros(len(frames[0]) - r, bool)
+            for p in reference_products(frames, factors, r, w):
+                assert not np.any(p[: rr - r]) and not np.any(p[:, : rr - r])
+                nonzero |= np.any(p != 0, axis=0) | np.any(p != 0, axis=1)
+            assert rr <= r + int(np.argmax(nonzero))
+            seen.append((r, rr))
+            return rr
+
+        monkeypatch.setattr(quantum, "_surviving_from", checked)
+        rho0 = make_rho()
+        evolve_density(rho0, build_floquet(rho0.size, k, 2.6, paper_train), 0.0187, 12)
+        assert len(seen) == 12
+        if skips:
+            assert any(rr > r for r, rr in seen)
 
     def test_window_takes_every_row_the_operator_reaches(self):
         """A U that swaps the ladder edge (index 0) with n = 0 (index h) moves
