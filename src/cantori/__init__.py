@@ -31,7 +31,6 @@ from .classical import (
 from .quantum import (
     DensityMatrix,
     FloquetOperator,
-    apply_decoherence,
     build_floquet,
     build_hamiltonians,
     evolve_density,
@@ -43,6 +42,4 @@ from .analysis import (
     TransportCurve,
     fraction_outside_classical,
     fraction_outside_quantum,
-    kinetic_energy,
-    kinetic_energy_quantum,
 )

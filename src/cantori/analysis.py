@@ -65,16 +65,3 @@ def transport_curve_quantum(record, hbar_k: float, boundary: float, params: dict
     )
     return TransportCurve(record.kicks.copy(), frac, boundary, "quantum", params or {})
 
-
-def kinetic_energy(rho_values: np.ndarray) -> float:
-    """Mean rho^2/2 of a set of momentum samples."""
-    rho_values = np.asarray(rho_values, dtype=float)
-    return float(np.mean(0.5 * rho_values**2))
-
-
-def kinetic_energy_quantum(populations: np.ndarray, hbar_k: float) -> float:
-    """<rho^2>/2 of a ladder population distribution."""
-    populations = np.asarray(populations, dtype=float)
-    N = populations.size
-    n = np.arange(-N // 2, N // 2)
-    return float(np.sum(populations * 0.5 * (n * hbar_k) ** 2))

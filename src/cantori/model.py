@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 HBAR = 1.054571817e-34  # J s
 
 # Line strengths for the caesium F=4 -> F'=5,4,3 transitions, assuming
@@ -239,17 +237,3 @@ def chirikov_overlap(m: int, n: int, k: float, alpha=Fraction(1, 20), delta=Frac
     half = resonance_width(m, k, alpha, delta) / 2 + resonance_width(n, k, alpha, delta) / 2
     return 2.0 * math.pi * abs(m - n) <= half
 
-
-def kick_strength_samples(params: SimParams, n_samples: int = 7) -> list[tuple[float, float]]:
-    """Gauss-Hermite nodes and weights for averaging over the k spread.
-
-    Returns [(k_i, w_i)] with weights summing to 1; a single node when the
-    spread is disabled.  Nodes falling at k <= 0 are clipped out.
-    """
-    if params.kick_spread_rms == 0.0:
-        return [(params.kick_strength, 1.0)]
-    x, w = np.polynomial.hermite_e.hermegauss(n_samples)
-    ks = params.kick_strength * (1.0 + params.kick_spread_rms * x)
-    keep = ks > 0
-    w = w[keep] / w[keep].sum()
-    return list(zip(ks[keep].tolist(), w.tolist()))

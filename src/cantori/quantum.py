@@ -14,16 +14,18 @@ pulse train and the channel, whose two shifts mirror each other.  Indices 0
 and N/2 are fixed points; every other index i pairs with its mirror into the
 orthonormal states (e_i +- e_(N-i))/sqrt(2).  The even sector holds e_0, the
 N/2 - 1 symmetric pair states and e_(N/2); the odd sector the N/2 - 1
-antisymmetric ones.  The Floquet operator is built block by block in these
-sectors.  evolve_density keeps rho in its parity blocks from the first kick
-to the last: it conjugates each block separately, a quarter of the dense N^3
-work when the state has no even-odd coherence (every thermal state), applies
-the channel to the blocks directly, reads the populations from their
-diagonals, and returns to the momentum basis only for the checkpoints.  Each
-kick works only on the block rows and columns that hold nonzero entries (from
-index w), and of those its product reaches (from r) it computes only the ones
-from rr on: a bound on each row and column proves that the flush of tiny
-entries would clear the others (see _surviving_from).
+antisymmetric ones.  _fold takes a matrix into its parity blocks, held in
+(N/2 + 1)^2 frames, with four slice sums; _unfold takes them back.  The
+Floquet operator is built block by block in these sectors.  evolve_density
+keeps rho in its parity frames from the first kick to the last: it conjugates
+each frame separately, a quarter of the dense N^3 work when the state has no
+even-odd coherence (every thermal state), applies the channel to the frames
+directly, reads the populations from their diagonals, and returns to the
+momentum basis only for the checkpoints.  Each kick works only on the frame
+rows and columns that hold nonzero entries (from index w), and of those its
+product reaches (from r) it computes only the ones from rr on: a bound on
+each row and column proves that the flush of tiny entries would clear the
+others (see _surviving_from).
 """
 
 from __future__ import annotations
@@ -92,10 +94,6 @@ class DensityMatrix:
         return cls(np.outer(psi, psi.conj()))
 
     @classmethod
-    def maximally_mixed(cls, N: int) -> "DensityMatrix":
-        return cls(np.eye(N, dtype=complex) / N)
-
-    @classmethod
     def thermal(cls, N: int, hbar_k: float, sigma: float) -> "DensityMatrix":
         """Incoherent Gaussian mixture of momentum eigenstates, width sigma in rho."""
         n = momentum_ladder(N)
@@ -123,8 +121,6 @@ class FloquetOperator:
         return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
 
-_SQRT_HALF = np.sqrt(0.5)
-
 # Parity-block entries below this magnitude are set to zero after each kick.
 # The blocks keep the exact super-exponential decay of U away from the
 # diagonal, so without the cut the far tails of rho sink into subnormal
@@ -133,13 +129,6 @@ _SQRT_HALF = np.sqrt(0.5)
 # lie far below the rounding error of the populated ones.  Product rows and
 # columns bounded below half the cut are not computed (see _surviving_from).
 _FLUSH_BELOW = 1e-90
-
-
-def _pairs(N: int) -> tuple[int, slice, slice, tuple]:
-    """N/2, the slices of the paired indices 1 ... N/2-1 and of their mirrors
-    N-1 ... N/2+1, and the index of the four fixed-point corners."""
-    h = N // 2
-    return h, slice(1, h), slice(N - 1, h, -1), np.ix_((0, h), (0, h))
 
 
 def build_hamiltonians(N: int, k: float, hbar_k: float) -> tuple[np.ndarray, np.ndarray]:
@@ -174,36 +163,6 @@ def _expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
     return (vecs * np.exp(1j * phase)) @ vecs.conj().T
 
 
-def _parity_split(m: np.ndarray, cross: bool = True) -> tuple:
-    """Blocks (ee, eo, oe, oo) of T m T^T, T the orthogonal parity transform.
-
-    Even rows and columns are ordered [e_0, pairs i = 1 ... N/2-1, e_(N/2)],
-    so an even index equals the array index it comes from.  With cross=False
-    the even-odd blocks are not formed and come back as None.
-    """
-    h, a, b, corners = _pairs(len(m))
-    ee = np.empty((h + 1, h + 1), m.dtype)
-    eo = np.empty((h + 1, h - 1), m.dtype) if cross else None
-    oe = np.empty((h - 1, h + 1), m.dtype) if cross else None
-    ee[corners] = m[corners]
-    for i in (0, h):
-        ee[i, 1:h] = (m[i, a] + m[i, b]) * _SQRT_HALF
-        ee[1:h, i] = (m[a, i] + m[b, i]) * _SQRT_HALF
-        if cross:
-            eo[i] = (m[i, a] - m[i, b]) * _SQRT_HALF
-            oe[:, i] = (m[a, i] - m[b, i]) * _SQRT_HALF
-    if cross:
-        s, d = m[a, a] - m[b, b], m[a, b] - m[b, a]
-        eo[1:h], oe[:, 1:h] = 0.5 * (s - d), 0.5 * (s + d)
-    s, d = m[a, a] + m[b, b], m[a, b] + m[b, a]
-    inner = ee[1:h, 1:h]
-    np.add(s, d, out=inner)
-    inner *= 0.5
-    oo = np.subtract(s, d, out=s)
-    oo *= 0.5
-    return ee, eo, oe, oo
-
-
 def _flush_tiny(x: np.ndarray) -> np.ndarray:
     """Zero, in place, the real and imaginary parts of x smaller than _FLUSH_BELOW."""
     parts = x.view(np.float64)
@@ -211,60 +170,39 @@ def _flush_tiny(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _parity_merge(ee, eo, oe, oo) -> np.ndarray:
-    """Inverse of _parity_split; None even-odd blocks count as zero."""
+# The parity blocks live in frames indexed by the array index j = 0 ... N/2
+# of the basis state, in the order [ee, oo, eo, oe] (row parity first).  The
+# frame of row parity u and column parity v (each +1 or -1) is
+# (A + vB + uC + uvD)/2 with A = m[j, j'], B = m[j, M j'], C = m[M j, j'] and
+# D = m[M j, M j'], M j = (N - j) mod N the mirror.  At the pair indices that
+# is the block entry itself.  At a fixed point (j = M j) an odd row or column
+# is exactly zero and an even one carries a factor sqrt(2) over the block: so
+# for a parity-even rho, (ee + oo)/2 and (ee - oo)/2 are rho[j, j'] and
+# rho[j, M j'] at every frame index, fixed points included, and the channel
+# becomes one stencil on each (see _channel).
+
+def _fold(m: np.ndarray) -> list:
+    """The parity frames [ee, oo, eo, oe] of the N x N matrix m."""
+    h = len(m) // 2
+    mirror = -np.arange(h + 1) % len(m)
+    a, b = m[:h + 1, :h + 1], m[:h + 1, mirror]
+    c, d = m[mirror, :h + 1], m[np.ix_(mirror, mirror)]
+    p, q, s, t = a + b, a - b, c + d, c - d
+    return [0.5 * (p + s), 0.5 * (q - t), 0.5 * (q + t), 0.5 * (p - s)]
+
+
+def _unfold(frames: list) -> np.ndarray:
+    """Inverse of _fold; missing even-odd frames count as zero."""
+    ee, oo, eo, oe = [*frames, 0.0, 0.0][:4]
     h = len(ee) - 1
-    _, a, b, corners = _pairs(2 * h)
+    mirror = -np.arange(h + 1) % (2 * h)
+    p, s, q, t = ee + oe, ee - oe, eo + oo, eo - oo
     m = np.empty((2 * h, 2 * h), complex)
-    m[corners] = ee[corners]
-    for i in (0, h):
-        row, col = ee[i, 1:h], ee[1:h, i]
-        if eo is None:
-            m[i, a] = m[i, b] = row * _SQRT_HALF
-            m[a, i] = m[b, i] = col * _SQRT_HALF
-        else:
-            m[i, a], m[i, b] = (row + eo[i]) * _SQRT_HALF, (row - eo[i]) * _SQRT_HALF
-            m[a, i], m[b, i] = (col + oe[:, i]) * _SQRT_HALF, (col - oe[:, i]) * _SQRT_HALF
-    inner = ee[1:h, 1:h]
-    s, d = inner + oo, inner - oo
-    if eo is None:
-        s *= 0.5
-        d *= 0.5
-        m[a, a] = m[b, b] = s
-        m[a, b] = m[b, a] = d
-    else:
-        p, q = eo[1:h] + oe[:, 1:h], eo[1:h] - oe[:, 1:h]
-        m[a, a], m[b, b] = 0.5 * (s + p), 0.5 * (s - p)
-        m[a, b], m[b, a] = 0.5 * (d - q), 0.5 * (d + q)
+    m[:h + 1, :h + 1] = 0.5 * (p + q)
+    m[:h + 1, mirror] = 0.5 * (p - q)
+    m[mirror, :h + 1] = 0.5 * (s + t)
+    m[np.ix_(mirror, mirror)] = 0.5 * (s - t)
     return m
-
-
-# evolve_density holds each parity block in a common (N/2 + 1)^2 frame indexed
-# by the array index j = 0 ... N/2 of the basis state: an even block fills it,
-# an odd block fills j = 1 ... N/2 - 1 and leaves zeros at the fixed points.
-# The rows and columns of the fixed points are scaled by sqrt(2), so that
-# for a parity-even rho (ee + oo)/2 and (ee - oo)/2 in the frame are
-# rho[j, j'] and rho[j, (N - j') mod N] at every frame index, fixed points
-# included, and the channel becomes one stencil on each (see _channel).
-
-def _framed(x: np.ndarray, h: int) -> np.ndarray:
-    """Parity block x (rows and columns even or odd) in the (h + 1)^2 frame."""
-    f = np.zeros((h + 1, h + 1), complex)
-    r, c = (h + 1 - x.shape[0]) // 2, (h + 1 - x.shape[1]) // 2
-    f[r:r + x.shape[0], c:c + x.shape[1]] = x
-    f[[0, h]] *= np.sqrt(2.0)
-    f[:, [0, h]] *= np.sqrt(2.0)
-    return f
-
-
-def _unframed(f: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of _framed for a block of the given shape."""
-    h = len(f) - 1
-    x = f.copy()
-    x[[0, h]] *= _SQRT_HALF
-    x[:, [0, h]] *= _SQRT_HALF
-    r, c = (h + 1 - shape[0]) // 2, (h + 1 - shape[1]) // 2
-    return x[r:r + shape[0], c:c + shape[1]]
 
 
 def _reach(u: np.ndarray) -> np.ndarray:
@@ -318,46 +256,33 @@ def build_floquet(N: int, k: float, hbar_k: float, train: PulseTrain) -> Floquet
     separately, so the assembled matrix commutes with parity exactly.
     """
     h_dark, h_light = build_hamiltonians(N, k, hbar_k)
+    h = N // 2
+    # The even frame carries sqrt(2) on the fixed-point rows and columns
+    # (see _fold); without it the even block is orthonormal.  The square root
+    # of an outer product keeps the corners exactly 2, where sqrt(2)^2 is not.
+    twos = np.ones(h + 1)
+    twos[[0, h]] = 2.0
+    scale = np.sqrt(np.outer(twos, twos))
     exps = {}
-    ue, uo = np.eye(N // 2 + 1, dtype=complex), np.eye(N // 2 - 1, dtype=complex)
+    ue, uo = np.eye(h + 1, dtype=complex), np.eye(h - 1, dtype=complex)
     for dur, driven in train.segments:
         key = (dur, driven)
         if key not in exps:
-            he, _, _, ho = _parity_split(h_light if driven else h_dark, cross=False)
-            scale = -float(dur) / hbar_k
-            exps[key] = (_expm_hermitian(he, scale), _expm_hermitian(ho, scale))
+            he, ho, _, _ = _fold(h_light if driven else h_dark)
+            t = -float(dur) / hbar_k
+            exps[key] = (_expm_hermitian(he / scale, t), _expm_hermitian(ho[1:h, 1:h], t))
         ue, uo = exps[key][0] @ ue, exps[key][1] @ uo
-    return FloquetOperator(_parity_merge(ue, None, None, uo), k, hbar_k, train.segments)
-
-
-def apply_decoherence(rho: DensityMatrix, eta: float) -> DensityMatrix:
-    """Per-cycle spontaneous-emission channel.
-
-    rho'[m, n] = eta/2 * (rho[m+1, n+1] + rho[m-1, n-1]) + (1 - eta) * rho[m, n],
-    index shifts wrapping periodically.  A convex mixture of the identity and
-    two cyclic-shift conjugations: trace-preserving and completely positive.
-
-    Away from the first and last rows and columns, where the shifts wrap,
-    both shifted entries lie N + 1 apart in the flattened matrix, so their
-    sum is one slice add.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterError(f"eta must lie in [0, 1], got {eta}")
-    m = np.ascontiguousarray(rho.matrix)
-    n = len(m)
-    flat = m.reshape(-1)
-    out = np.empty_like(m)
-    np.add(flat[2 * n + 2:], flat[:-2 * n - 2], out=out.reshape(-1)[n + 1:-n - 1])
-    for i in (0, n - 1):
-        out[i] = np.roll(m[(i + 1) % n], -1) + np.roll(m[i - 1], 1)
-        out[:, i] = np.roll(m[:, (i + 1) % n], -1) + np.roll(m[:, i - 1], 1)
-    out *= 0.5 * eta
-    out += (1.0 - eta) * m
-    return DensityMatrix(out)
+    return FloquetOperator(_unfold([ue * scale, np.pad(uo, 1)]), k, hbar_k, train.segments)
 
 
 def _channel(a: np.ndarray, b: np.ndarray, eta: float, lo: int, sign: float) -> None:
-    """apply_decoherence on a pair of frames, in place on their [lo:, lo:] corner.
+    """The per-cycle spontaneous-emission channel on a pair of frames, in
+    place on their [lo:, lo:] corner.
+
+    In the momentum basis the channel is
+    rho'[m, n] = eta/2 * (rho[m+1, n+1] + rho[m-1, n-1]) + (1 - eta) * rho[m, n],
+    index shifts wrapping periodically: a convex mixture of the identity and
+    two cyclic-shift conjugations, trace-preserving and completely positive.
 
     The pair is (ee, oo) with sign +1 or (eo, oe) with sign -1.  In the frame
     s = (a + b)/2 takes the (+1, +1) and (-1, -1) neighbours and
@@ -415,17 +340,17 @@ def evolve_density(
 ) -> EvolutionRecord:
     """Apply n_kicks of (unitary cycle, then decoherence channel).
 
-    rho stays in its parity blocks (see _framed): the cycle conjugates each
-    block, the channel acts on the blocks, and the populations are read from
-    their diagonals; the blocks are merged back into the momentum basis only
-    at the requested checkpoints.  The even-odd blocks are evolved only when
+    rho stays in its parity frames (see _fold): the cycle conjugates each
+    frame, the channel acts on the frames, and the populations are read from
+    their diagonals; the frames are unfolded into the momentum basis only at
+    the requested checkpoints.  The even-odd frames are evolved only when
     rho0 has any, since neither the cycle nor the channel creates them.
 
-    Each kick works on the trailing [w:, w:] corner of the blocks, w being the
+    Each kick works on the trailing [w:, w:] corner of the frames, w being the
     first index with a nonzero row or column: every entry outside it is an
-    exact zero (block entries below _FLUSH_BELOW are zeroed after each cycle),
+    exact zero (frame entries below _FLUSH_BELOW are zeroed after each cycle),
     and the cycle's result is confined to [r:, r:], r the first row that a
-    column of U's blocks from w onward reaches.  Only [rr:, rr:] of it is
+    column of U's frames from w onward reaches.  Only [rr:, rr:] of it is
     computed: the rows and columns r ... rr-1, whose bound lies below
     _FLUSH_BELOW / 2, are set to the zeros the flush would leave (see
     _surviving_from).  rr may exceed w.  Records diag(rho) every kick
@@ -435,14 +360,22 @@ def evolve_density(
     """
     if not 0.0 <= eta <= 1.0:
         raise ParameterError(f"eta must lie in [0, 1], got {eta}")
-    ue, ueo, uoe, uo = _parity_split(floquet.matrix)
-    leak = max(np.abs(ueo).max(initial=0.0), np.abs(uoe).max(initial=0.0))
+    if rho0.size != floquet.size:
+        raise ParameterError(f"rho0 has size {rho0.size} but the Floquet operator {floquet.size}")
+    if n_kicks < 0:
+        raise ParameterError(f"n_kicks must be >= 0, got {n_kicks}")
+    outside = [c for c in checkpoint_kicks if not 0 <= c <= n_kicks]
+    if outside:
+        raise ParameterError(f"checkpoint kicks {outside} lie outside [0, {n_kicks}]")
+    ua, ub, ueo, uoe = _fold(floquet.matrix)
+    leak = max(np.abs(ueo).max(), np.abs(uoe).max())
     if leak > UNITARITY_TOL:
         raise ParameterError(f"Floquet operator breaks momentum parity: even-odd block entry {leak:.3e}")
     h = floquet.size // 2
-    # In the frame, rho's fixed-point rows and columns carry sqrt(2), so U's
-    # fixed-point rows gain sqrt(2) and its fixed-point columns lose it.
-    ua, ub = _framed(_flush_tiny(ue), h), _framed(_flush_tiny(uo), h)
+    # U's frames carry sqrt(2) on the fixed-point rows and columns, as rho's
+    # do; in the product U rho U^dag the columns must lose it instead.
+    _flush_tiny(ua)
+    _flush_tiny(ub)
     ua[:, [0, h]] *= 0.5
     ub[:, [0, h]] *= 0.5
     reach = np.minimum(_reach(ua), _reach(ub))
@@ -450,13 +383,13 @@ def evolve_density(
     top = max(abs_a.max(), abs_b.max())
     abs_a *= top
     abs_b *= top
-    ee, eo, oe, oo = _parity_split(rho0.matrix)
-    frames = [_framed(ee, h), _framed(oo, h)]
+    frames = _fold(rho0.matrix)
     factors = [(ua, ua.conj().T, abs_a, abs_a.T), (ub, ub.conj().T, abs_b, abs_b.T)]
-    cross = bool(np.any(eo) or np.any(oe))
+    cross = bool(np.any(frames[2]) or np.any(frames[3]))
     if cross:
-        frames += [_framed(eo, h), _framed(oe, h)]
         factors += [(ua, ub.conj().T, abs_a, abs_b.T), (ub, ua.conj().T, abs_b, abs_a.T)]
+    else:
+        del frames[2:]
     w = _occupied_from(frames, 0)
 
     pops = np.empty((n_kicks + 1, 2 * h))
@@ -482,8 +415,6 @@ def evolve_density(
         pops[kick, :h + 1] = s + c
         pops[kick, h + 1:] = (s - c)[h - 1:0:-1]
         if kick in checkpoint_kicks:
-            shapes = [(h + 1, h + 1), (h - 1, h - 1), (h + 1, h - 1), (h - 1, h + 1)]
-            ee, oo, eo, oe = [_unframed(f, shape) for f, shape in zip(frames, shapes)] + [None] * (4 - len(frames))
-            checks[kick] = DensityMatrix(_parity_merge(ee, eo, oe, oo))
+            checks[kick] = DensityMatrix(_unfold(frames))
     edge_max = float(pops[:, [0, -1]].max())
     return EvolutionRecord(np.arange(n_kicks + 1), pops, checks, edge_max)

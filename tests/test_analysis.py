@@ -1,4 +1,4 @@
-"""Tests for transport metrics and energies."""
+"""Tests for transport metrics."""
 
 import math
 
@@ -13,8 +13,6 @@ from cantori import (
     TransportCurve,
     fraction_outside_classical,
     fraction_outside_quantum,
-    kinetic_energy,
-    kinetic_energy_quantum,
     thermal_ensemble,
 )
 from cantori.analysis import transport_curve_classical, transport_curve_quantum
@@ -90,27 +88,6 @@ class TestFractionOutsideQuantum:
         lo = fraction_outside_quantum(p, 2.6, edge - 1e-9)
         hi = fraction_outside_quantum(p, 2.6, edge + 1e-9)
         assert abs(lo - hi) < 1e-8
-
-
-class TestKineticEnergy:
-    def test_samples(self):
-        assert kinetic_energy([2.0, -2.0]) == pytest.approx(2.0)
-        assert kinetic_energy(np.zeros(5)) == 0.0
-
-    def test_ladder(self):
-        N = 16
-        p = np.zeros(N)
-        p[3 + N // 2] = 1.0
-        assert kinetic_energy_quantum(p, 2.0) == pytest.approx(18.0)
-
-    def test_ladder_matches_sampled(self):
-        """Gaussian ladder populations vs direct samples at the same grid."""
-        N, hbar_k = 128, 2.6
-        n = np.arange(-N // 2, N // 2)
-        p = np.exp(-(n**2) / 50.0)
-        p /= p.sum()
-        direct = np.sum(p * 0.5 * (n * hbar_k) ** 2)
-        assert kinetic_energy_quantum(p, hbar_k) == pytest.approx(direct)
 
 
 class TestTransportCurve:

@@ -15,7 +15,6 @@ from cantori.model import (
     build_pulse_train,
     chirikov_overlap,
     fourier_coefficient,
-    kick_strength_samples,
     physical_to_scaled,
     resonance_width,
 )
@@ -192,14 +191,3 @@ class TestSimParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ParameterError):
             SimParams(**kwargs)
-
-    def test_kick_spread_samples(self):
-        p = SimParams(kick_strength=270.0, scaled_planck=2.6)
-        assert kick_strength_samples(p) == [(270.0, 1.0)]
-        ps = SimParams(kick_strength=270.0, scaled_planck=2.6, kick_spread_rms=0.06)
-        samples = kick_strength_samples(ps)
-        ks = np.array([k for k, _ in samples])
-        ws = np.array([w for _, w in samples])
-        assert ws.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.sum(ws * ks) == pytest.approx(270.0, rel=1e-6)
-        assert np.sqrt(np.sum(ws * (ks - 270.0) ** 2)) == pytest.approx(0.06 * 270.0, rel=1e-6)

@@ -3,11 +3,12 @@
 The Floquet builder is checked against two independent routes: a dense
 scipy.linalg.expm product and a split-step FFT propagator.  The
 spontaneous-emission channel is checked against a hand-rolled convolution
-random walk and against np.roll.  The parity-block evolution is checked
-against the dense orthogonal parity transform and a dense U rho U^dag loop,
-and the channel on the parity blocks against np.roll.  The rows a kick
-skips by its bound are checked against the kick that computes them all and
-then flushes.
+random walk; apply_decoherence, defined here, is its momentum-basis
+reference, checked against np.roll.  The parity fold is checked against the
+dense orthogonal parity transform, the evolution in parity frames against a
+dense U rho U^dag loop, and the channel on the frames against np.roll.  The
+rows a kick skips by its bound are checked against the kick that computes
+them all and then flushes.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ import scipy.linalg
 from cantori import (
     DensityMatrix,
     ParameterError,
-    apply_decoherence,
     build_floquet,
     build_hamiltonians,
     evolve_density,
@@ -30,10 +30,8 @@ from cantori.quantum import (
     FloquetOperator,
     _channel,
     _flush_tiny,
-    _framed,
-    _parity_merge,
-    _parity_split,
-    _unframed,
+    _fold,
+    _unfold,
 )
 
 
@@ -138,7 +136,7 @@ class TestDensityMatrix:
         rho.validate()
         assert rho.purity() == pytest.approx(1.0)
         assert momentum_distribution(rho)[2] == 1.0
-        mm = DensityMatrix.maximally_mixed(8)
+        mm = DensityMatrix(np.eye(8) / 8)
         mm.validate()
         assert mm.purity() == pytest.approx(1.0 / 8)
 
@@ -243,6 +241,16 @@ class TestEvolution:
             with pytest.raises(ParameterError, match="eta"):
                 evolve_density(DensityMatrix.pure(8, 0), flo, eta, 0)
 
+    @pytest.mark.parametrize(
+        "size,n_kicks,checkpoints,match",
+        [(16, 4, (), "size"), (8, -1, (), "n_kicks"), (8, 4, (2, 5), "checkpoint"), (8, 4, (-1,), "checkpoint")],
+        ids=["size", "negative-kicks", "checkpoint-late", "checkpoint-negative"],
+    )
+    def test_rejects_bad_input(self, paper_train, size, n_kicks, checkpoints, match):
+        flo = build_floquet(8, 5.0, 2.6, paper_train)
+        with pytest.raises(ParameterError, match=match):
+            evolve_density(DensityMatrix.pure(size, 0), flo, 0.1, n_kicks, checkpoint_kicks=checkpoints)
+
     def test_state_stays_physical(self, paper_train):
         N = 32
         flo = build_floquet(N, 15.0, 2.6, paper_train)
@@ -268,6 +276,32 @@ def dense_channel(m, eta):
     return 0.5 * eta * (np.roll(m, (-1, -1), axis=(0, 1)) + np.roll(m, (1, 1), axis=(0, 1))) + (1 - eta) * m
 
 
+def apply_decoherence(rho: DensityMatrix, eta: float) -> DensityMatrix:
+    """Per-cycle spontaneous-emission channel in the momentum basis.
+
+    rho'[m, n] = eta/2 * (rho[m+1, n+1] + rho[m-1, n-1]) + (1 - eta) * rho[m, n],
+    index shifts wrapping periodically.  A convex mixture of the identity and
+    two cyclic-shift conjugations: trace-preserving and completely positive.
+
+    Away from the first and last rows and columns, where the shifts wrap,
+    both shifted entries lie N + 1 apart in the flattened matrix, so their
+    sum is one slice add.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ParameterError(f"eta must lie in [0, 1], got {eta}")
+    m = np.ascontiguousarray(rho.matrix)
+    n = len(m)
+    flat = m.reshape(-1)
+    out = np.empty_like(m)
+    np.add(flat[2 * n + 2:], flat[:-2 * n - 2], out=out.reshape(-1)[n + 1:-n - 1])
+    for i in (0, n - 1):
+        out[i] = np.roll(m[(i + 1) % n], -1) + np.roll(m[i - 1], 1)
+        out[:, i] = np.roll(m[:, (i + 1) % n], -1) + np.roll(m[:, i - 1], 1)
+    out *= 0.5 * eta
+    out += (1.0 - eta) * m
+    return DensityMatrix(out)
+
+
 def reference_products(frames, factors, r, w):
     """The kick's products without the row bound: every row and column from r, then the flush."""
     return [_flush_tiny(left[r:, w:] @ f[w:, w:] @ right[w:, r:]) for f, (left, right, _, _) in zip(frames, factors)]
@@ -276,31 +310,34 @@ def reference_products(frames, factors, r, w):
 class TestParityBlocks:
     @pytest.mark.parametrize("N", [2, 4, 6, 16])
     def test_split_merge_match_dense_transform(self, N):
+        """_fold splits m into the parity blocks of T m T^T, each frame S block S
+        with S = sqrt(2) at the fixed points, and _unfold merges them back."""
         h = N // 2
         rng = np.random.default_rng(N)
         m = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
         t = parity_transform(N)
         assert np.abs(t @ t.T - np.eye(N)).max() < 1e-15
-        dense = t @ m @ t.T
-        ee, eo, oe, oo = _parity_split(m)
-        assert ee.shape == (h + 1, h + 1) and oo.shape == (h - 1, h - 1)
-        np.testing.assert_allclose(ee, dense[: h + 1, : h + 1], atol=1e-14)
-        np.testing.assert_allclose(eo, dense[: h + 1, h + 1 :], atol=1e-14)
-        np.testing.assert_allclose(oe, dense[h + 1 :, : h + 1], atol=1e-14)
-        np.testing.assert_allclose(oo, dense[h + 1 :, h + 1 :], atol=1e-14)
-        np.testing.assert_allclose(_parity_merge(ee, eo, oe, oo), m, atol=1e-14)
-        ee2, eo2, oe2, oo2 = _parity_split(m, cross=False)
-        assert eo2 is None and oe2 is None
-        np.testing.assert_array_equal(ee2, ee)
-        np.testing.assert_array_equal(oo2, oo)
-        # Without the even-odd blocks the merge is the parity-symmetric part of m.
-        mirror = t.T @ np.diag([1.0] * (h + 1) + [-1.0] * (h - 1)) @ t
-        np.testing.assert_allclose(_parity_merge(ee, None, None, oo), 0.5 * (m + mirror @ m @ mirror), atol=1e-14)
+        # Rows of T placed at their frame index: the even ones scaled by S, the
+        # odd ones at 1 ... h-1 with zero rows at the fixed points.
+        sqrt2 = np.ones(h + 1)
+        sqrt2[[0, h]] = np.sqrt(2.0)
+        place = {"e": sqrt2[:, None] * t[: h + 1], "o": np.zeros((h + 1, N))}
+        place["o"][1:h] = t[h + 1 :]
+        frames = _fold(m)
+        for frame, (row, col) in zip(frames, ["ee", "oo", "eo", "oe"]):
+            np.testing.assert_allclose(frame, place[row] @ m @ place[col].T, atol=1e-14)
+        ee, oo, eo, oe = frames
+        assert not np.any(oo[[0, h]]) and not np.any(oo[:, [0, h]])
+        assert not np.any(eo[:, [0, h]]) and not np.any(oe[[0, h]])
+        np.testing.assert_allclose(_unfold(frames), m, atol=1e-14)
+        # Without the even-odd frames the unfold is the parity-symmetric part of m.
+        mirror = np.eye(N)[(N - np.arange(N)) % N]
+        np.testing.assert_allclose(_unfold([ee, oo]), 0.5 * (m + mirror @ m @ mirror), atol=1e-14)
 
     @pytest.mark.parametrize("N", [2, 4, 32, 128])
     def test_floquet_commutes_with_parity_exactly(self, paper_train, N):
         flo = build_floquet(N, 40.0, 2.6, paper_train)
-        _, eo, oe, _ = _parity_split(flo.matrix)
+        _, _, eo, oe = _fold(flo.matrix)
         assert not np.any(eo) and not np.any(oe)
         assert flo.unitarity_defect() <= UNITARITY_TOL
 
@@ -429,13 +466,12 @@ class TestParityBlocks:
             mirror = np.eye(N)[(N - np.arange(N)) % N]
             m = 0.5 * (m + mirror @ m @ mirror)
         h = N // 2
-        blocks = _parity_split(m)
-        assert (np.any(blocks[1]) or np.any(blocks[2])) == (cross and N > 2)
-        ee, eo, oe, oo = (_framed(x, h) for x in blocks)
+        frames = _fold(m)
+        ee, oo, eo, oe = frames
+        assert (np.any(eo) or np.any(oe)) == (cross and N > 2)
         _channel(ee, oo, 0.3, 0, 1.0)
         _channel(eo, oe, 0.3, 0, -1.0)
-        out = _parity_merge(*(_unframed(f, x.shape) for f, x in zip((ee, eo, oe, oo), blocks)))
-        np.testing.assert_allclose(out, dense_channel(m, 0.3), atol=1e-15)
+        np.testing.assert_allclose(_unfold(frames), dense_channel(m, 0.3), atol=1e-15)
         # The frame positions that no odd row or column fills stay exactly 0.
         assert not np.any(oo[[0, h]]) and not np.any(oo[:, [0, h]])
         assert not np.any(eo[:, [0, h]]) and not np.any(oe[[0, h]])

@@ -14,6 +14,8 @@ from cantori import (
 from cantori.model import ParameterError
 from cantori.wigner import coarse_negativity
 
+from test_quantum import apply_decoherence
+
 
 def random_density(N, seed):
     rng = np.random.default_rng(seed)
@@ -169,7 +171,7 @@ class TestCoarseGrain:
 
     def test_maximally_mixed_is_flat(self):
         N = 16
-        grid = toroidal_wigner(DensityMatrix.maximally_mixed(N), 2.6)
+        grid = toroidal_wigner(DensityMatrix(np.eye(N) / N), 2.6)
         coarse = grid.coarse()
         assert np.ptp(coarse) < 1e-12
         assert coarse.mean() == pytest.approx(1.0 / (2 * N))
@@ -196,8 +198,6 @@ class TestNegativity:
             negativity_volume(toroidal_wigner(rho, 2.6)), rel=1e-13)
 
     def test_decoherence_reduces_it(self):
-        from cantori import apply_decoherence
-
         N = 16
         psi = np.zeros(N)
         psi[N // 2] = psi[N // 2 + 2] = 1.0
