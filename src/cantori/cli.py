@@ -160,14 +160,11 @@ def _etas(text: str) -> tuple[float, ...]:
     for e in etas:
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"eta value {e} outside [0, 1]")
+    # Output files are named by the %g text of their eta.
+    tags = [f"{e:g}" for e in etas]
+    if len(set(tags)) < len(tags):
+        raise ValueError(f"eta values must differ in their %g file-name text, got {' '.join(tags)}")
     return etas
-
-
-def _kicks(text: str) -> tuple[int, ...]:
-    kicks = tuple(int(x) for x in text.replace(",", " ").split())
-    if not kicks or min(kicks) < 0:
-        raise ValueError("need one or more kick numbers >= 0")
-    return kicks
 
 
 def _positive_int(text: str) -> int:
@@ -175,6 +172,22 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise ValueError("must be a positive integer")
     return n
+
+
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError("must be an integer >= 0")
+    return n
+
+
+def _kicks(text: str) -> tuple[int, ...]:
+    kicks = tuple(_nonnegative_int(x) for x in text.replace(",", " ").split())
+    if not kicks:
+        raise ValueError("need one or more kick numbers")
+    if len(set(kicks)) < len(kicks):
+        raise ValueError("kick numbers repeat")
+    return kicks
 
 
 # Parsers keyed by the annotation text of the SimParams and PhysicalParams fields.
@@ -415,12 +428,12 @@ SCENARIOS = {
     "waterfall": Scenario(
         _scenario_waterfall,
         "per-kick quantum momentum distributions",
-        {"n_kicks": Option(int, "{n_kicks}")},
+        {"n_kicks": Option(_nonnegative_int, "{n_kicks}")},
     ),
     "poincare": Scenario(
         _scenario_poincare,
         "stroboscopic phase-space section of the classical map",
-        {"n_seeds": Option(_positive_int, "60"), "n_kicks": Option(int, "300"),
+        {"n_seeds": Option(_positive_int, "60"), "n_kicks": Option(_nonnegative_int, "300"),
          "rho_max_over_pi": Option(_finite, "16")},
     ),
     "wigner": Scenario(

@@ -21,11 +21,13 @@ keeps rho in its parity frames from the first kick to the last: it conjugates
 each frame separately, a quarter of the dense N^3 work when the state has no
 even-odd coherence (every thermal state), applies the channel to the frames
 directly, reads the populations from their diagonals, and returns to the
-momentum basis only for the checkpoints.  Each kick works only on the frame
-rows and columns that hold nonzero entries (from index w), and of those its
-product reaches (from r) it computes only the ones from rr on: a bound on
-each row and column proves that the flush of tiny entries would clear the
-others (see _surviving_from).
+momentum basis only for the checkpoints.  After each kick the frame entries
+below eps^2 are flushed to zero, a cut that keeps the whole evolution within
+about 1e-24 of the unflushed one at N = 512 (see _FLUSH_BELOW).  Each kick
+works only on the frame rows and columns that hold nonzero entries (from
+index w), and of those its product reaches (from r) it computes only the ones
+from rr on: a bound on each row and column proves that the flush would clear
+the others (see _surviving_from).
 """
 
 from __future__ import annotations
@@ -121,14 +123,25 @@ class FloquetOperator:
         return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
 
-# Parity-block entries below this magnitude are set to zero after each kick.
-# The blocks keep the exact super-exponential decay of U away from the
-# diagonal, so without the cut the far tails of rho sink into subnormal
-# numbers, on which BLAS runs several times slower.  A product of three
-# entries of at least 1e-90 stays a normal double, and entries that small
-# lie far below the rounding error of the populated ones.  Product rows and
-# columns bounded below half the cut are not computed (see _surviving_from).
-_FLUSH_BELOW = 1e-90
+# Frame entries whose real or imaginary part lies below this cut are set to
+# zero after each kick; product rows and columns bounded below half the cut
+# are not computed (see _surviving_from).  The cut is eps^2, set from the
+# rounding budget of the evolution:
+# - a unit-trace rho and a unitary U have entries of modulus <= 1;
+# - each flush drops less than sqrt(2) * cut per frame entry, so less than
+#   4 * (N/2 + 1)^2 * sqrt(2) * cut ~ 1.5 * N^2 * cut of trace norm (two
+#   frames for a parity-even rho, four with even-odd coherence); flushing U's
+#   frames once moves each kick by less than 2 * sqrt(2) * N * cut more;
+# - the conjugation preserves the trace norm, and the channel, a mixture of
+#   unitaries, does not increase it, so the errors of the kicks only add up;
+# - so after K kicks every population and checkpoint entry lies within about
+#   1.5 * K * N^2 * cut of the unflushed evolution: 1.3e-24 at N = 512 and
+#   K = 70, eight orders below eps.
+# Without the cut the frames would keep the super-exponential decay of U away
+# from the diagonal, sink into subnormal numbers (on which BLAS runs several
+# times slower) and widen the window each kick multiplies.  A product of three
+# entries of at least the cut, about 1e-94, is still a normal double.
+_FLUSH_BELOW = np.finfo(float).eps ** 2
 
 
 def build_hamiltonians(N: int, k: float, hbar_k: float) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +250,8 @@ def _surviving_from(frames: list, factors: list, r: int, w: int) -> int:
     its bound reaches _FLUSH_BELOW / 2.  Below that, every computed entry,
     rounding included, is at most (1 + n*eps) b < _FLUSH_BELOW in modulus, so
     _flush_tiny would zero both of its parts.  The nonzero entries of U's
-    flushed blocks exceed 1e-91, so b does not underflow; a term that did
+    flushed frames are at least _FLUSH_BELOW / 2 (about 2.5e-32; the
+    fixed-point columns are halved), so b does not underflow; a term that did
     would move it by some 1e-320, far inside the factor 2 margin.
     """
     hit = np.zeros(len(frames[0]) - r, bool)
@@ -348,15 +362,16 @@ def evolve_density(
 
     Each kick works on the trailing [w:, w:] corner of the frames, w being the
     first index with a nonzero row or column: every entry outside it is an
-    exact zero (frame entries below _FLUSH_BELOW are zeroed after each cycle),
-    and the cycle's result is confined to [r:, r:], r the first row that a
-    column of U's frames from w onward reaches.  Only [rr:, rr:] of it is
-    computed: the rows and columns r ... rr-1, whose bound lies below
-    _FLUSH_BELOW / 2, are set to the zeros the flush would leave (see
-    _surviving_from).  rr may exceed w.  Records diag(rho) every kick
-    and the full density matrix at the requested checkpoints.  Tracks the
-    largest population reaching the ladder edges, where the periodic wrap is
-    unphysical.
+    exact zero (frame entries below _FLUSH_BELOW = eps^2 are zeroed after each
+    cycle, which moves populations and checkpoints by about
+    1.5 * n_kicks * N^2 * eps^2 at most), and the cycle's result is confined
+    to [r:, r:], r the first row that a column of U's frames from w onward
+    reaches.  Only [rr:, rr:] of it is computed: the rows and columns
+    r ... rr-1, whose bound lies below _FLUSH_BELOW / 2, are set to the zeros
+    the flush would leave (see _surviving_from).  rr may exceed w.  Records
+    diag(rho) every kick and the full density matrix at the requested
+    checkpoints.  Tracks the largest population reaching the ladder edges,
+    where the periodic wrap is unphysical.
     """
     if not 0.0 <= eta <= 1.0:
         raise ParameterError(f"eta must lie in [0, 1], got {eta}")

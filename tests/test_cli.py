@@ -367,12 +367,19 @@ class TestStrictConfig:
             ("waterfall", "kick_spread_rms = 0.0", "kick_spread_rms = 0.05"),
             ("flux", "kick_spread_rms = 0.0", "kick_spread_rms = 0.05"),
             ("poincare", "kick_spread_rms = 0.0", "kick_spread_rms = 0.05"),
+            # Both would write wigner_eta_0.0187_kick_70.dat.
+            ("wigner", "eta_values = 0 0.02", "eta_values = 0.0187 0.01870001"),
+            ("transport", "eta_values = 0 0.0187 0.0503", "eta_values = 0 0.0187 0.0187"),
+            ("wigner", "checkpoint_kicks = 70", "checkpoint_kicks = 5 5"),
+            ("waterfall", "n_kicks = 50", "n_kicks = -3"),
+            ("poincare", "n_kicks = 300", "n_kicks = -3"),
         ],
         ids=[
             "params-key", "section", "checkpoint-kicks", "poincare-seeds", "flux-seeds", "physical-key", "ladder",
             "flux-boundary-nan", "poincare-rho-max-nan", "transport-boundary-nan", "sigma-nan", "spread-nan",
             "kick-inf", "eta-nan", "spread-transport", "spread-wigner", "spread-waterfall", "spread-flux",
-            "spread-poincare",
+            "spread-poincare", "eta-file-name-collision", "eta-repeat", "checkpoint-repeat", "waterfall-kicks-negative",
+            "poincare-kicks-negative",
         ],
     )
     def test_rejected_before_running(self, tmp_path, capsys, scenario, old, new):

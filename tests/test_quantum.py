@@ -8,7 +8,7 @@ reference, checked against np.roll.  The parity fold is checked against the
 dense orthogonal parity transform, the evolution in parity frames against a
 dense U rho U^dag loop, and the channel on the frames against np.roll.  The
 rows a kick skips by its bound are checked against the kick that computes
-them all and then flushes.
+them all and then flushes, and the eps^2 flush against a 1e-90 one.
 """
 
 import numpy as np
@@ -422,6 +422,33 @@ class TestParityBlocks:
         assert len(seen) == 12
         if skips:
             assert any(rr > r for r, rr in seen)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.0187])
+    @pytest.mark.parametrize("N", [256, 512])
+    def test_flush_cut_keeps_the_rounding_budget(self, paper_train, monkeypatch, N, eta):
+        """The eps^2 flush moves populations and checkpoints by less than 1e-15
+        against a 1e-90 flush over the paper's 70 kicks, and its kicks compute
+        fewer product rows."""
+        rho0 = DensityMatrix.thermal(N, 2.6, 10.0)
+        flo = build_floquet(N, 270.0, 2.6, paper_train)
+        bound = quantum._surviving_from
+        runs = []
+        for cut in (quantum._FLUSH_BELOW, 1e-90):
+            rows = []
+
+            def counted(frames, factors, r, w):
+                rr = bound(frames, factors, r, w)
+                rows.append(len(frames[0]) - rr)
+                return rr
+
+            monkeypatch.setattr(quantum, "_FLUSH_BELOW", cut)
+            monkeypatch.setattr(quantum, "_surviving_from", counted)
+            runs.append((evolve_density(rho0, flo, eta, 70, checkpoint_kicks=(35, 70)), sum(rows)))
+        (rec, rows), (ref, ref_rows) = runs
+        assert np.abs(rec.populations - ref.populations).max() < 1e-15
+        for kick in (35, 70):
+            assert np.abs(rec.checkpoints[kick].matrix - ref.checkpoints[kick].matrix).max() < 1e-15
+        assert rows < ref_rows
 
     def test_window_takes_every_row_the_operator_reaches(self):
         """A U that swaps the ladder edge (index 0) with n = 0 (index h) moves
