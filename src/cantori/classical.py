@@ -12,10 +12,26 @@ pendulum backends are provided:
 * "symplectic" -- 4th-order Yoshida composition with duration/256 substeps.
 
 Both conserve the segment energy to better than 1e-9 relative.
+
+Large ensembles run on every core the process may use: pendulum_segment cuts
+phi, rho and a per-trajectory k into contiguous blocks of at most 8192
+trajectories (the block count a multiple of the core count) and runs the
+kernel on the blocks in a thread pool.  The kernels work element by element
+and scipy's elliptic functions and numpy's ufuncs release the GIL, so the
+output is bitwise identical whatever the core count.  Ensembles of 8192 or
+fewer run inline: split in two on a 2-core Xeon, the elliptic kernel ran
+x0.86 as fast at 2000 trajectories, x0.92 at 8000, x1.48 at 10,000 and x1.72
+at 100,000 (the symplectic one x0.96 at 2000, x1.43 at 4000), and bounded
+blocks keep the temporaries each worker thread's allocator holds small.  Only
+the private kernels run on the workers, so every public function is entered
+and left on the calling thread.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +49,10 @@ _SEPARATRIX_BAND = 1e-9
 _CBRT2 = 2.0 ** (1.0 / 3.0)
 _W1 = 1.0 / (2.0 - _CBRT2)
 _W0 = -_CBRT2 / (2.0 - _CBRT2)
+
+# Largest trajectory block of the core split, and the number of workers.
+_BLOCK = 8192
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class NumericalDomainError(ValueError):
@@ -128,14 +148,20 @@ def _pendulum_elliptic(phi, rho, k, duration):
     w0 = np.sqrt(k)
     phin = _wrap_centered(phi)
     energy = 0.5 * rho**2 - k * np.cos(phin)
-    m_lib = (energy + k) / (2.0 * k)      # <1 libration, >1 rotation
+    free = np.equal(k, 0.0)               # per-trajectory k = 0 drifts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_lib = (energy + k) / (2.0 * k)  # <1 libration, >1 rotation
 
     out_phi = np.empty_like(phin)
     out_rho = np.empty_like(rho)
 
     near_sep = np.abs(m_lib - 1.0) < _SEPARATRIX_BAND
     lib = (m_lib < 1.0) & ~near_sep
-    rot = (m_lib > 1.0) & ~near_sep
+    rot = (m_lib > 1.0) & ~near_sep & ~free
+
+    if np.any(free):
+        out_phi[free] = phi[free] + rho[free] * duration
+        out_rho[free] = rho[free]
 
     if np.any(lib):
         m = m_lib[lib]
@@ -172,25 +198,63 @@ def _pendulum_elliptic(phi, rho, k, duration):
     return np.mod(out_phi, TWO_PI), out_rho
 
 
+@functools.cache
+def _executor(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(workers, thread_name_prefix="cantori-pendulum")
+
+
+def _blockwise(kernel, phi, rho, k, duration):
+    """kernel(phi, rho, k, duration) run on trajectory blocks across the cores.
+
+    The kernels are element-wise, so the concatenated blocks are the bytes of
+    one call.  The workers run only the kernel, never a public function.
+    """
+    n_blocks = -(-phi.size // _BLOCK)
+    if n_blocks <= 1 or _WORKERS <= 1:
+        return kernel(phi, rho, k, duration)
+    n_blocks = -(-n_blocks // _WORKERS) * _WORKERS
+    shape = phi.shape
+    phi, rho = phi.reshape(-1), rho.reshape(-1)
+    if np.ndim(k):
+        k = k.reshape(-1)
+    cuts = [phi.size * i // n_blocks for i in range(n_blocks + 1)]
+    pool = _executor(_WORKERS)
+    futures = [
+        pool.submit(kernel, phi[a:b], rho[a:b], k[a:b] if np.ndim(k) else k, duration)
+        for a, b in zip(cuts[:-1], cuts[1:])
+    ]
+    parts = [future.result() for future in futures]
+    return tuple(np.concatenate([part[i] for part in parts]).reshape(shape) for i in (0, 1))
+
+
 def pendulum_segment(phi, rho, k, duration: float, method: str = "symplectic"):
     """Evolve under H = rho^2/2 - k cos phi for the given duration.
 
-    k may be a scalar or a per-trajectory array.  Returns wrapped phi.
+    k may be a finite scalar >= 0 or a per-trajectory array of phi's shape.
+    Returns wrapped phi.
     """
-    if duration < 0:
-        raise ParameterError(f"duration must be >= 0, got {duration}")
+    if not 0 <= duration < np.inf:
+        raise ParameterError(f"duration must be finite and >= 0, got {duration}")
     phi = np.asarray(phi, dtype=float)
     rho = np.asarray(rho, dtype=float)
+    if phi.shape != rho.shape:
+        raise ParameterError(f"phi and rho must have equal shapes, got {phi.shape} and {rho.shape}")
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(rho))):
         raise NumericalDomainError("non-finite phase-space input")
+    k = np.asarray(k, dtype=float)
+    if k.ndim and k.shape != phi.shape:
+        raise ParameterError(f"per-trajectory k has shape {k.shape}, the trajectories {phi.shape}")
+    if not np.all(np.isfinite(k) & (k >= 0.0)):
+        raise ParameterError("kick strength k must be finite and >= 0")
+    k = k if k.ndim else float(k)
     if duration == 0:
         return np.mod(phi, TWO_PI), rho.copy()
-    if np.all(np.asarray(k) == 0.0):
+    if np.all(k == 0.0):
         return drift_segment(phi, rho, duration)
     if method == "elliptic":
-        return _pendulum_elliptic(phi, rho, k, duration)
+        return _blockwise(_pendulum_elliptic, phi, rho, k, duration)
     if method == "symplectic":
-        p, r = _pendulum_symplectic(phi, rho, k, duration)
+        p, r = _blockwise(_pendulum_symplectic, phi, rho, k, duration)
         return np.mod(p, TWO_PI), r
     raise ParameterError(f"unknown pendulum backend {method!r}")
 

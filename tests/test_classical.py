@@ -1,6 +1,10 @@
+import inspect
+import threading
+
 import numpy as np
 import pytest
 
+from cantori import classical
 from cantori.classical import (
     ClassicalEnsemble,
     NumericalDomainError,
@@ -217,3 +221,119 @@ class TestCantorusFlux:
         # but the counting is direction-agnostic.
         err = 3 * np.hypot(up.stderr, down.stderr)
         assert abs(up.flux - down.flux) < max(err, 0.1 * up.flux)
+
+
+class TestSegmentInput:
+    @pytest.mark.parametrize("k", [-5.0, np.nan, np.inf, np.array([1.0, -1.0, 2.0, 3.0]),
+                                   np.array([1.0, np.nan, 2.0, 3.0]), np.ones(3), np.ones((4, 1))],
+                             ids=["negative", "nan", "inf", "array-negative", "array-nan",
+                                  "array-short", "array-2d"])
+    @pytest.mark.parametrize("method", ["elliptic", "symplectic"])
+    def test_bad_k_raises(self, k, method):
+        with pytest.raises(ParameterError):
+            pendulum_segment(np.zeros(4), np.ones(4), k, 0.1, method=method)
+
+    @pytest.mark.parametrize("duration", [-0.1, np.nan, np.inf])
+    def test_bad_duration_raises(self, duration):
+        with pytest.raises(ParameterError):
+            pendulum_segment(np.zeros(4), np.ones(4), 10.0, duration)
+
+    def test_mismatched_phi_rho_raise(self):
+        with pytest.raises(ParameterError):
+            pendulum_segment(np.zeros(4), np.ones(5), 10.0, 0.1)
+
+    def test_elliptic_zero_entries_drift(self):
+        rng = np.random.default_rng(17)
+        phi, rho = random_band_states(rng, 400)
+        k = np.where(rng.uniform(size=400) < 0.5, 0.0, 270.0)
+        k[:2] = 0.0
+        rho[0] = 0.0
+        p, r = pendulum_segment(phi, rho, k, 1 / 20, method="elliptic")
+        free = k == 0.0
+        pd, rd = drift_segment(phi[free], rho[free], 1 / 20)
+        assert np.array_equal(p[free], pd) and np.array_equal(r[free], rd)
+        pk, rk = pendulum_segment(phi[~free], rho[~free], 270.0, 1 / 20, method="elliptic")
+        assert np.array_equal(p[~free], pk) and np.array_equal(r[~free], rk)
+
+    def test_clipped_kick_spread_runs_elliptic(self, paper_train):
+        # kick_spread_rms = 0.5 clips about 2% of the kick strengths to 0.
+        p = SimParams(kick_strength=270.0, scaled_planck=2.6, n_trajectories=2000,
+                      rng_seed=3, kick_spread_rms=0.5)
+        rec = evolve_ensemble(thermal_ensemble(p), p, paper_train, n_kicks=5, method="elliptic")
+        assert np.all(np.isfinite(rec.phi)) and np.all(np.isfinite(rec.rho))
+
+
+def separatrix_seeded(n, k, seed):
+    """Random band states with every 500th trajectory within 1e-12 of its separatrix."""
+    rng = np.random.default_rng(seed)
+    phi, rho = random_band_states(rng, n)
+    idx = np.arange(0, n, 500)
+    ks = k[idx] if np.ndim(k) else k
+    phin = np.mod(phi[idx] + np.pi, TWO_PI) - np.pi
+    sign = np.where(rng.uniform(size=idx.size) < 0.5, -1.0, 1.0)
+    rho[idx] = sign * np.sqrt(2.0 * ks * (1.0 + np.cos(phin))) * (1.0 + 1e-12 * rng.uniform(-1, 1, idx.size))
+    energy = 0.5 * rho[idx] ** 2 - ks * np.cos(phin)
+    assert np.all(np.abs((energy + ks) / (2.0 * ks) - 1.0) < 1e-9)
+    return phi, rho
+
+
+def single_call(phi, rho, k, duration, method):
+    if method == "elliptic":
+        return classical._pendulum_elliptic(phi, rho, k, duration)
+    p, r = classical._pendulum_symplectic(phi, rho, k, duration)
+    return np.mod(p, TWO_PI), r
+
+
+class TestCoreSplit:
+    """The core split returns the bytes of one kernel call.
+
+    Blocks hold at least 2731 trajectories (8193 in three), so every block
+    carries near-separatrix seeds and runs the substep fallback on a worker.
+    """
+
+    @pytest.mark.parametrize("n", [8192, 8193, 10_000, 100_000])
+    @pytest.mark.parametrize("per_trajectory", [False, True], ids=["scalar-k", "array-k"])
+    @pytest.mark.parametrize("method", ["elliptic", "symplectic"])
+    def test_bitwise_equal_to_one_call(self, monkeypatch, n, per_trajectory, method):
+        monkeypatch.setattr(classical, "_WORKERS", 2)
+        k = 270.0 * (1.0 + 0.06 * np.random.default_rng(n).standard_normal(n)) if per_trajectory else 270.0
+        phi, rho = separatrix_seeded(n, k, n)
+        p, r = pendulum_segment(phi, rho, k, 1 / 20, method=method)
+        p1, r1 = single_call(phi, rho, k, 1 / 20, method)
+        assert np.array_equal(p, p1) and np.array_equal(r, r1)
+
+    def test_worker_count_does_not_change_output(self, monkeypatch):
+        n = 100_000
+        k = 270.0 * (1.0 + 0.06 * np.random.default_rng(1).standard_normal(n))
+        phi, rho = separatrix_seeded(n, k, 1)
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(classical, "_WORKERS", workers)
+            outputs.append(np.concatenate(pendulum_segment(phi, rho, k, 1 / 20, method="elliptic")))
+        assert all(o.tobytes() == outputs[0].tobytes() for o in outputs[1:])
+
+    @pytest.mark.parametrize("method", ["elliptic", "symplectic"])
+    def test_public_functions_stay_on_calling_thread(self, monkeypatch, paper_train, method):
+        # Wrapped the way a span tracer wraps them: the wrapper replaces the
+        # module attribute, so calls through module globals are seen too.
+        monkeypatch.setattr(classical, "_WORKERS", 2)
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        public = [name for name, fn in vars(classical).items()
+                  if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == classical.__name__]
+        for name in public + ["_pendulum_elliptic", "_pendulum_symplectic"]:
+            monkeypatch.setattr(classical, name, recording(name, getattr(classical, name)))
+        phi, rho = random_band_states(np.random.default_rng(5), 20_000)
+        classical.kick_cycle(phi, rho, 270.0, paper_train, method=method)
+
+        main = threading.main_thread()
+        names = {name for name, _ in calls}
+        assert {"kick_cycle", "pendulum_segment", "drift_segment"} <= names
+        assert all(thread is main for name, thread in calls if name in public)
+        assert any(thread is not main for name, thread in calls if name not in public)
