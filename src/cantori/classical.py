@@ -9,9 +9,12 @@ pendulum backends are provided:
                   the elliptic integral; falls back to substepping within a
                   narrow band around the separatrix where the inversion is
                   ill-conditioned.
-* "symplectic" -- 4th-order Yoshida composition with duration/256 substeps.
+* "symplectic" -- 4th-order Yoshida composition of 256 substeps of length
+                  duration/256.
 
-Both conserve the segment energy to better than 1e-9 relative.
+Both conserve the segment energy to better than 1e-9 relative.  scipy.special
+is imported on the first elliptic call, not with this module, so the quantum
+scenarios and configuration checks never load SciPy.
 
 Large ensembles run on every core the process may use: pendulum_segment cuts
 phi, rho and a per-trajectory k into contiguous blocks of at most 8192
@@ -35,7 +38,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipj, ellipk, ellipkinc
 
 from .model import ParameterError, PulseTrain, SimParams
 
@@ -111,8 +113,14 @@ def thermal_ensemble(params: SimParams, rng: np.random.Generator | None = None) 
     return ClassicalEnsemble(phi, rho)
 
 
+def _check_duration(duration: float) -> None:
+    if not 0 <= duration < np.inf:
+        raise ParameterError(f"duration must be finite and >= 0, got {duration}")
+
+
 def drift_segment(phi, rho, duration: float):
     """Free evolution: phi advances by rho*duration (wrapped), rho unchanged."""
+    _check_duration(duration)
     return np.mod(phi + rho * duration, TWO_PI), rho
 
 
@@ -143,6 +151,11 @@ def _pendulum_elliptic(phi, rho, k, duration):
     Rotation (E > k):   phi/2 = am(theta, m), rho = sigma (2 sqrt(k)/kappa) dn,
     with m = kappa^2 = 2k/(E + k) and theta advancing at sigma sqrt(k)/kappa.
     """
+    # Imported on first use so that importing cantori does not load SciPy.  The
+    # import system locks each module while it loads, so a first call on
+    # several pool workers at once is safe.
+    from scipy.special import ellipj, ellipk, ellipkinc
+
     phi = np.asarray(phi, dtype=float)
     rho = np.asarray(rho, dtype=float)
     w0 = np.sqrt(k)
@@ -233,8 +246,7 @@ def pendulum_segment(phi, rho, k, duration: float, method: str = "symplectic"):
     k may be a finite scalar >= 0 or a per-trajectory array of phi's shape.
     Returns wrapped phi.
     """
-    if not 0 <= duration < np.inf:
-        raise ParameterError(f"duration must be finite and >= 0, got {duration}")
+    _check_duration(duration)
     phi = np.asarray(phi, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if phi.shape != rho.shape:

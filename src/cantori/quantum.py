@@ -3,8 +3,11 @@
 The state lives on N momentum eigenstates |n>, n = -N/2 ... N/2-1, with
 rho|n> = n*hbar_k|n> and n treated as periodic.  One kick cycle is the
 ordered product of segment propagators exp(-i*duration*H_seg/hbar_k)
-(H_dark between pulses, H_light during them), each built by Hermitian
-eigendecomposition so the factors are unitary to eigensolver accuracy.
+(H_dark between pulses, H_light during them).  H_dark is diagonal in
+momentum, so each dark factor is an exact diagonal phase,
+exp(-i*duration*n^2*hbar_k/2) on the row of array (and parity frame) index
+j = n + N/2, applied as a row scaling; the H_light factors are built by
+Hermitian eigendecomposition, so they are unitary to eigensolver accuracy.
 Spontaneous emission enters as a per-cycle mixing channel that adds the
 density matrix to two versions of itself shifted by one ladder unit.
 
@@ -143,6 +146,8 @@ class FloquetOperator:
 # entries of at least the cut, about 1e-94, is still a normal double.
 _FLUSH_BELOW = np.finfo(float).eps ** 2
 
+_TWO_PI = 2.0 * np.arccos(np.longdouble(-1.0))
+
 
 def build_hamiltonians(N: int, k: float, hbar_k: float) -> tuple[np.ndarray, np.ndarray]:
     """(H_dark, H_light) in the periodic momentum ladder basis.
@@ -171,9 +176,12 @@ def _expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
     2*pi keeps the phases accurate to ~1e-15 absolute.
     """
     vals, vecs = np.linalg.eigh(h)
-    two_pi = 2.0 * np.arccos(np.longdouble(-1.0))
-    phase = np.mod(np.longdouble(scale) * vals.astype(np.longdouble), two_pi).astype(float)
-    return (vecs * np.exp(1j * phase)) @ vecs.conj().T
+    return (vecs * _unit_phases(np.longdouble(scale) * vals.astype(np.longdouble))) @ vecs.conj().T
+
+
+def _unit_phases(phase: np.ndarray) -> np.ndarray:
+    """exp(1j * phase) for extended-precision phases, reduced mod 2*pi before rounding to float."""
+    return np.exp(1j * np.mod(phase, _TWO_PI).astype(float))
 
 
 def _flush_tiny(x: np.ndarray) -> np.ndarray:
@@ -266,10 +274,15 @@ def _surviving_from(frames: list, factors: list, r: int, w: int) -> int:
 def build_floquet(N: int, k: float, hbar_k: float, train: PulseTrain) -> FloquetOperator:
     """Single-kick evolution operator, segment propagators applied in schedule order.
 
-    Each segment is exponentiated in the even and the odd parity sector
-    separately, so the assembled matrix commutes with parity exactly.
+    Each segment acts in the even and the odd parity sector separately, so the
+    assembled matrix commutes with parity exactly.  A driven segment is
+    exponentiated by Hermitian eigendecomposition.  A dark one is diagonal in
+    momentum, so its factor is an exact diagonal phase: it scales frame row j,
+    which holds n = j - N/2, by exp(i t E_n) with t = -duration/hbar_k and
+    E_n = n^2 hbar_k^2 / 2, formed in extended precision from the integer n^2
+    and reduced mod 2*pi as in _expm_hermitian.
     """
-    h_dark, h_light = build_hamiltonians(N, k, hbar_k)
+    _, h_light = build_hamiltonians(N, k, hbar_k)
     h = N // 2
     # The even frame carries sqrt(2) on the fixed-point rows and columns
     # (see _fold); without it the even block is orthonormal.  The square root
@@ -277,15 +290,20 @@ def build_floquet(N: int, k: float, hbar_k: float, train: PulseTrain) -> Floquet
     twos = np.ones(h + 1)
     twos[[0, h]] = 2.0
     scale = np.sqrt(np.outer(twos, twos))
-    exps = {}
+    he, ho, _, _ = _fold(h_light)
+    he, ho = he / scale, ho[1:h, 1:h]
+    energies = np.arange(h, -1, -1).astype(np.longdouble) ** 2 * np.longdouble(hbar_k) ** 2 / 2
+    light = {}
     ue, uo = np.eye(h + 1, dtype=complex), np.eye(h - 1, dtype=complex)
     for dur, driven in train.segments:
-        key = (dur, driven)
-        if key not in exps:
-            he, ho, _, _ = _fold(h_light if driven else h_dark)
-            t = -float(dur) / hbar_k
-            exps[key] = (_expm_hermitian(he / scale, t), _expm_hermitian(ho[1:h, 1:h], t))
-        ue, uo = exps[key][0] @ ue, exps[key][1] @ uo
+        t = -float(dur) / hbar_k
+        if not driven:
+            phase = _unit_phases(np.longdouble(t) * energies)
+            ue, uo = phase[:, None] * ue, phase[1:h, None] * uo
+            continue
+        if dur not in light:
+            light[dur] = (_expm_hermitian(he, t), _expm_hermitian(ho, t))
+        ue, uo = light[dur][0] @ ue, light[dur][1] @ uo
     return FloquetOperator(_unfold([ue * scale, np.pad(uo, 1)]), k, hbar_k, train.segments)
 
 

@@ -51,6 +51,11 @@ class TestDrift:
         _, rho2 = drift_segment(phi, rho, 0.37)
         assert np.array_equal(rho, rho2)
 
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf, -1.0], ids=["nan", "inf", "-inf", "negative"])
+    def test_bad_duration_raises(self, duration):
+        with pytest.raises(ParameterError, match=r"^duration must be finite and >= 0, got "):
+            drift_segment(np.array([1.0]), np.array([1.0]), duration)
+
 
 @pytest.mark.parametrize("method", ["elliptic", "symplectic"])
 class TestPendulum:

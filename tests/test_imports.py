@@ -1,12 +1,18 @@
-"""Every name that a module of cantori imports is used in that module.
+"""Imports: every name a module of cantori imports is used there, and SciPy
+loads only with the elliptic classical backend.
 
-No linter runs on this code, so the check is a test: it reads each module's
-syntax tree, collects the names its import statements bind, and fails on any
-that no expression loads.  __init__.py is exempt, since its imports are the
-package's exports.
+No linter runs on this code, so the first check is a test: it reads each
+module's syntax tree, collects the names its import statements bind, and fails
+on any that no expression loads.  __init__.py is exempt, since its imports are
+the package's exports.  The SciPy checks run in a fresh interpreter each, since
+this one has imported SciPy long before.
 """
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -27,3 +33,73 @@ def test_no_unused_imports(path):
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in loaded}
     assert not unused, f"{path.name} imports names it never uses (name: line): {unused}"
+
+
+def run_fresh(script: str, *args: str) -> str:
+    """Run script in a fresh interpreter with cantori importable; returns its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_quantum_scenarios_never_load_scipy(tmp_path):
+    out = run_fresh("""
+        import sys
+        from pathlib import Path
+
+        import cantori
+        from cantori import cli
+
+        tmp = Path(sys.argv[1])
+        default = tmp / "default.ini"
+        default.write_text(cli.DEFAULT_CONFIG)
+        assert cli.main(["validate", str(default)]) == 0
+        assert cli.main(["list-scenarios"]) == 0
+        assert cli.main(["default-config"]) == 0
+        for scenario in ("wigner", "waterfall"):
+            config = tmp / f"{scenario}.ini"
+            config.write_text(cli.DEFAULT_CONFIG.replace("scenario = transport", f"scenario = {scenario}")
+                              .replace("basis_size = 128", "basis_size = 64")
+                              .replace("output_dir = runs", f"output_dir = {tmp / 'runs'}"))
+            assert cli.main(["run", str(config)]) == 0
+        print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """, str(tmp_path))
+    assert out.count("wrote ") == 2
+    assert out.splitlines()[-1] == "scipy modules: []"
+    assert len(list((tmp_path / "runs").iterdir())) == 2
+
+
+def test_first_elliptic_call_on_pool_workers():
+    """SciPy's first import happens inside the kernel on the pool's workers,
+    and the split result is the bytes of one inline kernel call."""
+    out = run_fresh("""
+        import sys
+        import threading
+
+        import numpy as np
+
+        from cantori import classical
+
+        class Watch:
+            # Records the thread that looks scipy.special up; finds nothing itself.
+            threads = []
+
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy.special":
+                    self.threads.append(threading.current_thread().name)
+
+        assert "scipy.special" not in sys.modules
+        sys.meta_path.insert(0, Watch())
+        classical._WORKERS = 2
+        rng = np.random.default_rng(11)
+        phi = rng.uniform(0.0, 2.0 * np.pi, 20_000)
+        rho = rng.normal(0.0, 10.0, 20_000)
+        p, r = classical.pendulum_segment(phi, rho, 270.0, 1 / 20, method="elliptic")
+        p1, r1 = classical._pendulum_elliptic(phi, rho, 270.0, 1 / 20)
+        assert np.array_equal(p, p1) and np.array_equal(r, r1)
+        assert Watch.threads and Watch.threads[0].startswith("cantori-pendulum"), Watch.threads
+        print("equal")
+    """)
+    assert out.splitlines()[-1] == "equal"

@@ -1,15 +1,19 @@
 """Tests for the momentum-ladder quantum propagator and decoherence channel.
 
 The Floquet builder is checked against two independent routes: a dense
-scipy.linalg.expm product and a split-step FFT propagator.  The
-spontaneous-emission channel is checked against a hand-rolled convolution
-random walk; apply_decoherence, defined here, is its momentum-basis
-reference, checked against np.roll.  The parity fold is checked against the
-dense orthogonal parity transform, the evolution in parity frames against a
-dense U rho U^dag loop, and the channel on the frames against np.roll.  The
-rows a kick skips by its bound are checked against the kick that computes
-them all and then flushes, and the eps^2 flush against a 1e-90 one.
+scipy.linalg.expm product and a split-step FFT propagator; its closed-form
+dark factors are checked against eigh_floquet, which exponentiates every
+segment by eigh.  The spontaneous-emission channel is checked against a
+hand-rolled convolution random walk; apply_decoherence, defined here, is its
+momentum-basis reference, checked against np.roll.  The parity fold is
+checked against the dense orthogonal parity transform, the evolution in
+parity frames against a dense U rho U^dag loop, and the channel on the frames
+against np.roll.  The rows a kick skips by its bound are checked against the
+kick that computes them all and then flushes, and the eps^2 flush against a
+1e-90 one.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ import scipy.linalg
 from cantori import (
     DensityMatrix,
     ParameterError,
+    PulseTrain,
     build_floquet,
     build_hamiltonians,
     evolve_density,
@@ -29,6 +34,7 @@ from cantori.quantum import (
     UNITARITY_TOL,
     FloquetOperator,
     _channel,
+    _expm_hermitian,
     _flush_tiny,
     _fold,
     _unfold,
@@ -128,6 +134,39 @@ class TestFloquet:
         for i, ni in enumerate(n):
             j = int(np.where(n == (-ni - N // 2) % N - N // 2)[0][0])
             assert p[i] == pytest.approx(p[j], abs=1e-12)
+
+
+def eigh_floquet(N, k, hbar_k, train):
+    """build_floquet with every segment exponentiated by eigh, the dark ones
+    included: the construction before the dark factors took closed form."""
+    h_dark, h_light = build_hamiltonians(N, k, hbar_k)
+    h = N // 2
+    twos = np.ones(h + 1)
+    twos[[0, h]] = 2.0
+    scale = np.sqrt(np.outer(twos, twos))
+    ue, uo = np.eye(h + 1, dtype=complex), np.eye(h - 1, dtype=complex)
+    for dur, driven in train.segments:
+        he, ho, _, _ = _fold(h_light if driven else h_dark)
+        t = -float(dur) / hbar_k
+        ue = _expm_hermitian(he / scale, t) @ ue
+        uo = _expm_hermitian(ho[1:h, 1:h], t) @ uo
+    return _unfold([ue * scale, np.pad(uo, 1)])
+
+
+class TestDarkFactors:
+    @pytest.mark.parametrize("N", [64, 128, 512])
+    def test_matches_eigh_for_every_segment(self, paper_train, N):
+        flo = build_floquet(N, 270.0, 2.6, paper_train)
+        assert np.abs(flo.matrix - eigh_floquet(N, 270.0, 2.6, paper_train)).max() <= 1e-11
+        assert flo.unitarity_defect() <= 1e-13
+
+    def test_all_dark_train_is_a_phase_diagonal(self):
+        N, hbar_k = 64, 2.6
+        train = PulseTrain(((Fraction(3, 10), False), (Fraction(7, 10), False)))
+        u = build_floquet(N, 270.0, hbar_k, train).matrix
+        assert not np.any(u - np.diag(np.diag(u)))
+        n = momentum_ladder(N)
+        np.testing.assert_allclose(np.diag(u), np.exp(-0.5j * n**2 * hbar_k), rtol=0, atol=1e-12)
 
 
 class TestDensityMatrix:
