@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +17,6 @@ class TransportCurve:
     kicks: np.ndarray
     fraction_outside: np.ndarray
     boundary: float
-    source: str                      # "classical" | "quantum"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.kicks = np.asarray(self.kicks)
@@ -52,16 +50,16 @@ def fraction_outside_quantum(populations: np.ndarray, hbar_k: float, boundary: f
     return float(np.sum(populations * outside))
 
 
-def transport_curve_classical(record, boundary: float, params: dict | None = None) -> TransportCurve:
+def transport_curve_classical(record, boundary: float) -> TransportCurve:
     """Fraction-outside curve from a TrajectoryRecord."""
     frac = np.mean(np.abs(record.rho) > boundary, axis=1)
-    return TransportCurve(record.kicks.copy(), frac, boundary, "classical", params or {})
+    return TransportCurve(record.kicks.copy(), frac, boundary)
 
 
-def transport_curve_quantum(record, hbar_k: float, boundary: float, params: dict | None = None) -> TransportCurve:
+def transport_curve_quantum(record, hbar_k: float, boundary: float) -> TransportCurve:
     """Fraction-outside curve from an EvolutionRecord."""
     frac = np.array(
         [fraction_outside_quantum(p, hbar_k, boundary) for p in record.populations]
     )
-    return TransportCurve(record.kicks.copy(), frac, boundary, "quantum", params or {})
+    return TransportCurve(record.kicks.copy(), frac, boundary)
 

@@ -17,9 +17,9 @@ is imported on the first elliptic call, not with this module, so the quantum
 scenarios and configuration checks never load SciPy.
 
 Large ensembles run on every core the process may use: pendulum_segment cuts
-phi, rho and a per-trajectory k into contiguous blocks of at most 8192
-trajectories (the block count a multiple of the core count) and runs the
-kernel on the blocks in a thread pool.  The kernels work element by element
+phi and rho into contiguous blocks of at most 8192 trajectories (the block
+count a multiple of the core count) and runs the kernel, with the one scalar
+k, on the blocks in a thread pool.  The kernels work element by element
 and scipy's elliptic functions and numpy's ufuncs release the GIL, so the
 output is bitwise identical whatever the core count.  Ensembles of 8192 or
 fewer run inline: split in two on a 2-core Xeon, the elliptic kernel ran
@@ -161,20 +161,14 @@ def _pendulum_elliptic(phi, rho, k, duration):
     w0 = np.sqrt(k)
     phin = _wrap_centered(phi)
     energy = 0.5 * rho**2 - k * np.cos(phin)
-    free = np.equal(k, 0.0)               # per-trajectory k = 0 drifts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_lib = (energy + k) / (2.0 * k)  # <1 libration, >1 rotation
+    m_lib = (energy + k) / (2.0 * k)      # <1 libration, >1 rotation
 
     out_phi = np.empty_like(phin)
     out_rho = np.empty_like(rho)
 
     near_sep = np.abs(m_lib - 1.0) < _SEPARATRIX_BAND
     lib = (m_lib < 1.0) & ~near_sep
-    rot = (m_lib > 1.0) & ~near_sep & ~free
-
-    if np.any(free):
-        out_phi[free] = phi[free] + rho[free] * duration
-        out_rho[free] = rho[free]
+    rot = (m_lib > 1.0) & ~near_sep
 
     if np.any(lib):
         m = m_lib[lib]
@@ -187,24 +181,21 @@ def _pendulum_elliptic(phi, rho, k, duration):
         if np.any(neg):
             big_k = ellipk(m)
             theta0 = np.where(neg, 2.0 * big_k - theta0, theta0)
-        wlib = w0[lib] if np.ndim(w0) else w0
-        sn, cn, _, _ = ellipj(theta0 + wlib * duration, m)
+        sn, cn, _, _ = ellipj(theta0 + w0 * duration, m)
         out_phi[lib] = 2.0 * np.arcsin(np.clip(kappa * sn, -1.0, 1.0))
-        out_rho[lib] = 2.0 * wlib * kappa * cn
+        out_rho[lib] = 2.0 * w0 * kappa * cn
 
     if np.any(rot):
         m = 1.0 / m_lib[rot]
         kappa = np.sqrt(m)
         sigma = np.where(rho[rot] >= 0.0, 1.0, -1.0)
         theta0 = ellipkinc(phin[rot] / 2.0, m)
-        wrot = w0[rot] if np.ndim(w0) else w0
-        _, _, dn, ph = ellipj(theta0 + sigma * (wrot / kappa) * duration, m)
+        _, _, dn, ph = ellipj(theta0 + sigma * (w0 / kappa) * duration, m)
         out_phi[rot] = 2.0 * ph
-        out_rho[rot] = sigma * 2.0 * (wrot / kappa) * dn
+        out_rho[rot] = sigma * 2.0 * (w0 / kappa) * dn
 
     if np.any(near_sep):
-        ksep = k[near_sep] if np.ndim(k) else k
-        p, r = _pendulum_symplectic(phin[near_sep], rho[near_sep], ksep, duration)
+        p, r = _pendulum_symplectic(phin[near_sep], rho[near_sep], k, duration)
         out_phi[near_sep] = p
         out_rho[near_sep] = r
 
@@ -228,12 +219,10 @@ def _blockwise(kernel, phi, rho, k, duration):
     n_blocks = -(-n_blocks // _WORKERS) * _WORKERS
     shape = phi.shape
     phi, rho = phi.reshape(-1), rho.reshape(-1)
-    if np.ndim(k):
-        k = k.reshape(-1)
     cuts = [phi.size * i // n_blocks for i in range(n_blocks + 1)]
     pool = _executor(_WORKERS)
     futures = [
-        pool.submit(kernel, phi[a:b], rho[a:b], k[a:b] if np.ndim(k) else k, duration)
+        pool.submit(kernel, phi[a:b], rho[a:b], k, duration)
         for a, b in zip(cuts[:-1], cuts[1:])
     ]
     parts = [future.result() for future in futures]
@@ -243,7 +232,7 @@ def _blockwise(kernel, phi, rho, k, duration):
 def pendulum_segment(phi, rho, k, duration: float, method: str = "symplectic"):
     """Evolve under H = rho^2/2 - k cos phi for the given duration.
 
-    k may be a finite scalar >= 0 or a per-trajectory array of phi's shape.
+    k is one finite scalar >= 0 for every trajectory; k = 0 is free drift.
     Returns wrapped phi.
     """
     _check_duration(duration)
@@ -254,14 +243,12 @@ def pendulum_segment(phi, rho, k, duration: float, method: str = "symplectic"):
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(rho))):
         raise NumericalDomainError("non-finite phase-space input")
     k = np.asarray(k, dtype=float)
-    if k.ndim and k.shape != phi.shape:
-        raise ParameterError(f"per-trajectory k has shape {k.shape}, the trajectories {phi.shape}")
-    if not np.all(np.isfinite(k) & (k >= 0.0)):
-        raise ParameterError("kick strength k must be finite and >= 0")
-    k = k if k.ndim else float(k)
+    if k.shape or not 0.0 <= k < np.inf:
+        raise ParameterError(f"kick strength k must be a finite scalar >= 0, got {k}")
+    k = float(k)
     if duration == 0:
         return np.mod(phi, TWO_PI), rho.copy()
-    if np.all(k == 0.0):
+    if k == 0.0:
         return drift_segment(phi, rho, duration)
     if method == "elliptic":
         return _blockwise(_pendulum_elliptic, phi, rho, k, duration)
@@ -288,33 +275,20 @@ def evolve_ensemble(
     train: PulseTrain | None = None,
     n_kicks: int | None = None,
     method: str = "symplectic",
-    record_every: int = 1,
 ) -> TrajectoryRecord:
-    """Evolve an ensemble for n_kicks cycles, recording stroboscopic snapshots.
-
-    With kick_spread_rms > 0, each trajectory carries its own kick strength
-    drawn once at the start (Gaussian, fractional RMS as configured).
-    """
+    """Evolve an ensemble for n_kicks cycles, recording a snapshot at kicks 0..n_kicks."""
     train = train or params.pulse_train()
     n_kicks = params.n_kicks if n_kicks is None else n_kicks
     phi = np.mod(ensemble.phi.copy(), TWO_PI)
     rho = ensemble.rho.copy()
 
-    k = params.kick_strength
-    if params.kick_spread_rms > 0.0:
-        rng = np.random.default_rng((params.rng_seed, 0xC5))
-        k = np.clip(k * (1.0 + params.kick_spread_rms * rng.standard_normal(len(ensemble))), 0.0, None)
-
-    kicks = [0]
     snaps_phi = [phi.copy()]
     snaps_rho = [rho.copy()]
-    for kick in range(1, n_kicks + 1):
-        phi, rho = kick_cycle(phi, rho, k, train, method=method)
-        if kick % record_every == 0 or kick == n_kicks:
-            kicks.append(kick)
-            snaps_phi.append(phi.copy())
-            snaps_rho.append(rho.copy())
-    return TrajectoryRecord(np.array(kicks), np.array(snaps_phi), np.array(snaps_rho))
+    for _ in range(n_kicks):
+        phi, rho = kick_cycle(phi, rho, params.kick_strength, train, method=method)
+        snaps_phi.append(phi.copy())
+        snaps_rho.append(rho.copy())
+    return TrajectoryRecord(np.arange(len(snaps_phi)), np.array(snaps_phi), np.array(snaps_rho))
 
 
 def poincare_section(

@@ -248,9 +248,6 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(scenario, output_dir, params, dict(cp[scenario]) if scenario in cp else {}, physical)
     for name in SCENARIOS[scenario].options:
         cfg.option(name)
-    if params.kick_spread_rms > 0.0:
-        raise ConfigError(f"[params] kick_spread_rms = {params.kick_spread_rms}: no scenario applies a "
-                          f"kick-strength spread; set it to 0")
     # Beyond the last ladder site the quantum fraction outside reads 0 by construction.
     edge = params.basis_size / 2 * params.scaled_planck
     if scenario == "transport" and cfg.option("boundary_over_pi") * np.pi >= edge:
@@ -313,7 +310,7 @@ def _scenario_transport(cfg: RunConfig, outdir: Path, files: dict) -> None:
 
     ensemble = classical.thermal_ensemble(p)
     rec = classical.evolve_ensemble(ensemble, p, p.pulse_train(), method="elliptic")
-    curve = analysis.transport_curve_classical(rec, boundary, {"k": p.kick_strength})
+    curve = analysis.transport_curve_classical(rec, boundary)
     _savetxt(
         outdir, "classical.dat",
         np.column_stack([curve.kicks, curve.fraction_outside]),
@@ -325,7 +322,7 @@ def _scenario_transport(cfg: RunConfig, outdir: Path, files: dict) -> None:
     index_lines = ["# eta file", f"classical {Path('classical.dat')}"]
     for eta in cfg.option("eta_values"):
         qrec = quantum.evolve_density(rho0, floquet, eta, p.n_kicks)
-        qcurve = analysis.transport_curve_quantum(qrec, p.scaled_planck, boundary, {"eta": eta})
+        qcurve = analysis.transport_curve_quantum(qrec, p.scaled_planck, boundary)
         name = f"quantum_eta_{eta:g}.dat"
         _savetxt(
             outdir, name,

@@ -105,7 +105,8 @@ class SimParams:
     n_trajectories      : classical ensemble size
     rng_seed            : seed for all stochastic sampling
     init_momentum_sigma : thermal width of the initial rho distribution
-    kick_spread_rms     : optional fractional RMS spread of k (0 disables)
+    kick_spread_rms     : fractional RMS spread of k; must be 0, since every
+                          trajectory and the density matrix share one k
     """
 
     kick_strength: float
@@ -121,10 +122,10 @@ class SimParams:
     kick_spread_rms: float = 0.0
 
     def __post_init__(self):
-        if not self.kick_strength >= 0:
-            raise ParameterError(f"kick_strength must be >= 0, got {self.kick_strength}")
-        if not self.scaled_planck > 0:
-            raise ParameterError(f"scaled_planck must be > 0, got {self.scaled_planck}")
+        if not 0 <= self.kick_strength < math.inf:
+            raise ParameterError(f"kick_strength must be finite and >= 0, got {self.kick_strength}")
+        if not 0 < self.scaled_planck < math.inf:
+            raise ParameterError(f"scaled_planck must be finite and > 0, got {self.scaled_planck}")
         if not 0.0 <= self.se_probability <= 1.0:
             raise ParameterError(f"se_probability must lie in [0, 1], got {self.se_probability}")
         alpha, delta = Fraction(self.pulse_width), Fraction(self.pulse_spacing)
@@ -138,8 +139,11 @@ class SimParams:
             raise ParameterError(f"n_kicks must be non-negative, got {self.n_kicks}")
         if self.n_trajectories <= 0:
             raise ParameterError(f"n_trajectories must be positive, got {self.n_trajectories}")
-        if self.init_momentum_sigma < 0 or self.kick_spread_rms < 0:
-            raise ParameterError("init_momentum_sigma and kick_spread_rms must be >= 0")
+        if not 0 <= self.init_momentum_sigma < math.inf:
+            raise ParameterError(f"init_momentum_sigma must be finite and >= 0, got {self.init_momentum_sigma}")
+        if self.kick_spread_rms != 0:
+            raise ParameterError(f"kick_spread_rms = {self.kick_spread_rms}: no scenario applies a "
+                                 f"kick-strength spread; set it to 0")
 
     def pulse_train(self) -> "PulseTrain":
         return build_pulse_train(self.pulse_width, self.pulse_spacing)

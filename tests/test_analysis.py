@@ -93,9 +93,9 @@ class TestFractionOutsideQuantum:
 class TestTransportCurve:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            TransportCurve(np.arange(3), np.zeros(2), 1.0, "classical")
+            TransportCurve(np.arange(3), np.zeros(2), 1.0)
         with pytest.raises(ParameterError):
-            TransportCurve(np.arange(2), np.array([0.5, 1.5]), 1.0, "classical")
+            TransportCurve(np.arange(2), np.array([0.5, 1.5]), 1.0)
 
     def test_from_trajectory_record(self):
         rec = TrajectoryRecord(
@@ -103,10 +103,10 @@ class TestTransportCurve:
             phi=np.zeros((2, 4)),
             rho=np.array([[0.0, 1.0, 5.0, -5.0], [5.0, 5.0, 5.0, 0.0]]),
         )
-        curve = transport_curve_classical(rec, 2.0, {"k": 270.0})
+        curve = transport_curve_classical(rec, 2.0)
+        assert np.array_equal(curve.kicks, [0, 1])
         assert np.allclose(curve.fraction_outside, [0.5, 0.75])
-        assert curve.source == "classical"
-        assert curve.params["k"] == 270.0
+        assert curve.boundary == 2.0
 
     def test_from_population_record(self):
         from types import SimpleNamespace
@@ -118,5 +118,6 @@ class TestTransportCurve:
         p1[5 + N // 2] = 1.0
         rec = SimpleNamespace(kicks=np.array([0, 1]), populations=np.stack([p0, p1]))
         curve = transport_curve_quantum(rec, 2.0, 9.0)
+        assert np.array_equal(curve.kicks, [0, 1])
         assert np.allclose(curve.fraction_outside, [0.0, 1.0])
-        assert curve.source == "quantum"
+        assert curve.boundary == 9.0

@@ -187,6 +187,12 @@ class TestSimParams:
         dict(kick_strength=270.0, scaled_planck=2.6, basis_size=127),
         dict(kick_strength=270.0, scaled_planck=2.6, pulse_width=Fraction(1, 5), pulse_spacing=Fraction(1, 10)),
         dict(kick_strength=270.0, scaled_planck=2.6, n_trajectories=0),
+        dict(kick_strength=math.inf, scaled_planck=2.6),
+        dict(kick_strength=270.0, scaled_planck=math.inf),
+        dict(kick_strength=270.0, scaled_planck=2.6, init_momentum_sigma=math.nan),
+        dict(kick_strength=270.0, scaled_planck=2.6, init_momentum_sigma=math.inf),
+        dict(kick_strength=270.0, scaled_planck=2.6, kick_spread_rms=0.05),
+        dict(kick_strength=270.0, scaled_planck=2.6, kick_spread_rms=math.nan),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ParameterError):
