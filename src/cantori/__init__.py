@@ -13,10 +13,8 @@ from .model import (
     PulseTrain,
     SimParams,
     build_pulse_train,
-    chirikov_overlap,
     fourier_coefficient,
     physical_to_scaled,
-    resonance_width,
 )
 from .classical import (
     ClassicalEnsemble,
@@ -40,6 +38,5 @@ from .quantum import (
 from .wigner import WignerGrid, coarse_grain, coarse_wigner, negativity_volume, toroidal_wigner
 from .analysis import (
     TransportCurve,
-    fraction_outside_classical,
     fraction_outside_quantum,
 )

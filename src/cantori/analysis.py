@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalEnsemble
 from .model import ParameterError
 
 
@@ -25,13 +24,6 @@ class TransportCurve:
             raise ParameterError("kicks and fraction_outside must have equal lengths")
         if np.any((self.fraction_outside < -1e-12) | (self.fraction_outside > 1 + 1e-12)):
             raise ParameterError("fractions must lie in [0, 1]")
-
-
-def fraction_outside_classical(ensemble: ClassicalEnsemble, boundary: float) -> float:
-    """Fraction of trajectories with |rho| beyond the boundary."""
-    if len(ensemble) == 0:
-        raise ParameterError("empty ensemble")
-    return float(np.mean(np.abs(ensemble.rho) > boundary))
 
 
 def fraction_outside_quantum(populations: np.ndarray, hbar_k: float, boundary: float) -> float:

@@ -246,16 +246,16 @@ def pendulum_segment(phi, rho, k, duration: float, method: str = "symplectic"):
     if k.shape or not 0.0 <= k < np.inf:
         raise ParameterError(f"kick strength k must be a finite scalar >= 0, got {k}")
     k = float(k)
+    if method not in ("elliptic", "symplectic"):
+        raise ParameterError(f"unknown pendulum backend {method!r}")
     if duration == 0:
         return np.mod(phi, TWO_PI), rho.copy()
     if k == 0.0:
         return drift_segment(phi, rho, duration)
     if method == "elliptic":
         return _blockwise(_pendulum_elliptic, phi, rho, k, duration)
-    if method == "symplectic":
-        p, r = _blockwise(_pendulum_symplectic, phi, rho, k, duration)
-        return np.mod(p, TWO_PI), r
-    raise ParameterError(f"unknown pendulum backend {method!r}")
+    p, r = _blockwise(_pendulum_symplectic, phi, rho, k, duration)
+    return np.mod(p, TWO_PI), r
 
 
 def kick_cycle(phi, rho, k, train: PulseTrain, method: str = "symplectic"):
@@ -279,6 +279,8 @@ def evolve_ensemble(
     """Evolve an ensemble for n_kicks cycles, recording a snapshot at kicks 0..n_kicks."""
     train = train or params.pulse_train()
     n_kicks = params.n_kicks if n_kicks is None else n_kicks
+    if n_kicks < 0:
+        raise ParameterError(f"n_kicks must be >= 0, got {n_kicks}")
     phi = np.mod(ensemble.phi.copy(), TWO_PI)
     rho = ensemble.rho.copy()
 
@@ -302,6 +304,8 @@ def poincare_section(
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     if seeds.size == 0:
         raise ParameterError("need at least one seed")
+    if n_kicks < 0:
+        raise ParameterError(f"n_kicks must be >= 0, got {n_kicks}")
     phi = np.mod(seeds[:, 0].copy(), TWO_PI)
     rho = seeds[:, 1].copy()
     pts = [np.column_stack([phi, rho])]

@@ -271,20 +271,28 @@ def _write_text(outdir: Path, name: str, text, files: dict) -> None:
     files[name] = digest.hexdigest()
 
 
-def _templates(prefixes: list[str], tail: str) -> list[str]:
-    """One % template per _SAVETXT_ROWS-row chunk, row i reading prefixes[i] + tail."""
-    return [tail.join(prefixes[s:s + _SAVETXT_ROWS]) + tail for s in range(0, len(prefixes), _SAVETXT_ROWS)]
+def _templates(blocks: list[str], block_rows: int) -> list[tuple[int, str]]:
+    """(row count, % template) per chunk of whole blocks, about _SAVETXT_ROWS rows each.
+
+    Each block holds block_rows rows, every row preceded by "\n"; the template
+    puts that newline at the end of each row instead.
+    """
+    step = max(1, _SAVETXT_ROWS // block_rows)
+    chunks = (blocks[s:s + step] for s in range(0, len(blocks), step))
+    return [(block_rows * len(chunk), "".join(chunk)[1:] + "\n") for chunk in chunks]
 
 
-def _write_rows(outdir: Path, name: str, templates: list[str], data, header: str, files: dict) -> None:
-    """Write "# "-prefixed header lines, then each chunk's template % that chunk's rows of data."""
+def _write_rows(outdir: Path, name: str, templates: list[tuple[int, str]], data, header: str, files: dict) -> None:
+    """Write "# "-prefixed header lines, then each template % its own row count of the next rows of data."""
     data = np.asarray(data)
 
     def parts():
         if header:
             yield "# " + header.replace("\n", "\n# ") + "\n"
-        for start, template in zip(range(0, len(data), _SAVETXT_ROWS), templates):
-            yield template % tuple(data[start:start + _SAVETXT_ROWS].ravel().tolist())
+        start = 0
+        for rows, template in templates:
+            yield template % tuple(data[start:start + rows].ravel().tolist())
+            start += rows
 
     _write_text(outdir, name, parts(), files)
 
@@ -294,8 +302,8 @@ def _savetxt(outdir: Path, name: str, data, header: str, files: dict, fmt="%.10g
     data = np.asarray(data)
     if data.ndim == 1:
         data = data[:, None]
-    row = " ".join([fmt] * data.shape[1]) + "\n"
-    _write_rows(outdir, name, _templates([""] * len(data), row), data, header, files)
+    row = "\n" + " ".join([fmt] * data.shape[1])
+    _write_rows(outdir, name, _templates([row] * len(data), 1), data, header, files)
 
 
 def _quantum_start(p: SimParams) -> tuple[quantum.DensityMatrix, quantum.FloquetOperator]:
@@ -375,9 +383,11 @@ def _scenario_wigner(cfg: RunConfig, outdir: Path, files: dict) -> None:
     p = cfg.params
     checkpoints = cfg.option("checkpoint_kicks")
     rho0, floquet = _quantum_start(p)
-    # The X and P columns repeat in every grid: format them once, X-major as np.meshgrid(..., indexing="ij").
+    # The X and P columns repeat in every grid: format them once, X-major as np.meshgrid(..., indexing="ij"),
+    # one block of N rows per X.
     xs, ps = (["%.10g" % v for v in axis.tolist()] for axis in wigner.coarse_axes(p.basis_size, p.scaled_planck))
-    templates = _templates([f"{x} {q} " for x in xs for q in ps], "%.10g\n")
+    column = "".join(f"\n {q} %.10g" for q in ps)
+    templates = _templates([column.replace("\n", "\n" + x) for x in xs], len(ps))
     summary = ["# eta kick negativity_volume file"]
     for eta in cfg.option("eta_values"):
         rec = quantum.evolve_density(rho0, floquet, eta, max(checkpoints), checkpoints)

@@ -3,8 +3,7 @@
 Converts laboratory parameters (Rabi frequency, detunings, pulse period) to
 the two dimensionless numbers that control the dynamics: the kick strength k
 and the scaled Planck constant hbar_k.  Also holds the pulse-train schedule
-and the resonance-structure analytics (Fourier coefficients of the pulse
-train, primary resonance widths, Chirikov overlap).
+and the Fourier coefficients of the pulse train.
 
 Dimensionless variables: phi = 2 k_L x, rho = (2 k_L T / M) p_x, tau = t / T.
 The one-cycle Hamiltonian is H = rho^2/2 - k cos(phi) f(tau) with f the
@@ -221,23 +220,3 @@ def fourier_coefficient(m: int, alpha=Fraction(1, 20), delta=Fraction(1, 10)) ->
     if m != 0 and (m * a) % 1 == 0:
         return 0.0
     return 2.0 * float(a) * _sinc(m * math.pi * float(a)) * math.cos(m * math.pi * float(d))
-
-
-def resonance_width(m: int, k: float, alpha=Fraction(1, 20), delta=Fraction(1, 10)) -> float:
-    """Full momentum width 4 sqrt(|a_m| k) of the primary resonance at rho = 2 pi m."""
-    if not k > 0:
-        raise ParameterError(f"kick strength must be > 0, got {k}")
-    return 4.0 * math.sqrt(abs(fourier_coefficient(m, alpha, delta)) * k)
-
-
-def chirikov_overlap(m: int, n: int, k: float, alpha=Fraction(1, 20), delta=Fraction(1, 10)) -> bool:
-    """True when the m-th and n-th primary resonances satisfy the overlap condition.
-
-    Resonance centers sit at rho = 2 pi m; overlap when the half-widths
-    bridge the separation: 2 pi |m - n| <= 2 sqrt(|a_m| k) + 2 sqrt(|a_n| k).
-    """
-    if m == n:
-        raise ParameterError("resonance indices must differ")
-    half = resonance_width(m, k, alpha, delta) / 2 + resonance_width(n, k, alpha, delta) / 2
-    return 2.0 * math.pi * abs(m - n) <= half
-

@@ -15,6 +15,8 @@ coarse_wigner computes without the doubled grid: summing a cell's k pair
 multiplies the j-th term by exp(2*pi*i*j*K/N) * (1 + exp(i*pi*j/N)), and the
 parity mask keeps exactly one l of the cell's pair, so the cell (L, K) is
 (1/4) * sum_j over 2N terms, folded onto a length-N inverse FFT over j.
+The terms of each j are a diagonal of rho read with wrap-around, so they are
+gathered through strided views of the 2x2-tiled matrix, without index arrays.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .model import ParameterError
 from .quantum import DensityMatrix
@@ -87,13 +90,22 @@ def toroidal_wigner(rho: DensityMatrix, hbar_k: float) -> WignerGrid:
 
 
 def coarse_wigner(rho: DensityMatrix, hbar_k: float) -> np.ndarray:
-    """toroidal_wigner(rho, hbar_k).coarse() without the doubled grid: (N, N), P along axis 0."""
+    """toroidal_wigner(rho, hbar_k).coarse() without the doubled grid: (N, N), P along axis 0.
+
+    Row j = 2a + b of the pair sum reads m[(L + a + b) % N, (L - a) % N] for
+    L = 0 ... N-1 (a = 0 ... N-1, b = 0, 1): a strided view of the doubled
+    matrix tile(m, (2, 2)) that starts at [b, N] and steps one row down and one
+    column left per a, one row down and one column right per L.
+    """
     m = rho.matrix
     N = rho.size
 
+    t = np.tile(m, (2, 2))
+    s0, s1 = t.strides
+    g = np.empty((2 * N, N), dtype=t.dtype)
+    for b in (0, 1):
+        g[b::2] = as_strided(t[b:, N:], (N, N), (s0 - s1, s0 + s1), writeable=False)
     j = np.arange(2 * N)[:, None]
-    l = 2 * np.arange(N) - N + j % 2           # the l of each cell's pair with l + j even (N is even)
-    g = m[((l + j) // 2 + N // 2) % N, ((l - j) // 2 + N // 2) % N]
     g *= 1.0 + np.exp(1j * np.pi * j / N)      # the cell's k pair
 
     w = np.fft.ifft(g[:N] + g[N:], axis=0)

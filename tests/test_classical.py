@@ -149,6 +149,11 @@ class TestEnsemble:
         assert rec.phi.shape == rec.rho.shape == (7, 50)
         assert np.array_equal(rec.rho[0], ens.rho)
 
+    def test_negative_kicks_raise(self, paper_train):
+        p = SimParams(kick_strength=5.0, scaled_planck=2.6, n_trajectories=10, rng_seed=1)
+        with pytest.raises(ParameterError, match="n_kicks"):
+            evolve_ensemble(thermal_ensemble(p), p, paper_train, n_kicks=-3)
+
     def test_reflection_symmetry_of_cycle(self, paper_train):
         rng = np.random.default_rng(13)
         phi, rho = random_band_states(rng, 300)
@@ -179,6 +184,10 @@ class TestPoincare:
     def test_empty_seeds_raise(self, paper_train):
         with pytest.raises(ParameterError):
             poincare_section(np.empty((0, 2)), 5.0, paper_train, 10)
+
+    def test_negative_kicks_raise(self, paper_train):
+        with pytest.raises(ParameterError, match="n_kicks"):
+            poincare_section([(0.0, 2.0)], 5.0, paper_train, -2)
 
     def test_island_present_only_where_coefficient_nonzero(self, paper_train):
         # At low kick strength, orbits launched on a primary resonance with
@@ -237,6 +246,13 @@ class TestSegmentInput:
     def test_bad_duration_raises(self, duration):
         with pytest.raises(ParameterError):
             pendulum_segment(np.zeros(4), np.ones(4), 10.0, duration)
+
+    # The early returns for a zero duration and for k = 0 come after the backend check.
+    @pytest.mark.parametrize("k, duration", [(10.0, 0.1), (0.0, 0.1), (10.0, 0.0)],
+                             ids=["driven", "zero-k", "zero-duration"])
+    def test_unknown_method_raises(self, k, duration):
+        with pytest.raises(ParameterError, match="unknown pendulum backend"):
+            pendulum_segment(np.zeros(2), np.ones(2), k, duration, method="bogus")
 
     def test_mismatched_phi_rho_raise(self):
         with pytest.raises(ParameterError):

@@ -243,9 +243,13 @@ class TestSavetxt:
         assert (tmp_path / "x.dat").read_bytes() == expected
         assert files["x.dat"] == hashlib.sha256(expected).hexdigest()
 
-    def test_wigner_grid_matches_numpy(self, tmp_path, monkeypatch):
-        """The grid files, written from per-scenario X P templates, equal np.savetxt of the three columns."""
-        monkeypatch.setattr(cli, "_SAVETXT_ROWS", 100)     # 256 rows: two full chunks and a partial one
+    @pytest.mark.parametrize("rows", [100, 8, cli._SAVETXT_ROWS], ids=["partial-chunk", "under-one-column", "default"])
+    def test_wigner_grid_matches_numpy(self, tmp_path, monkeypatch, rows):
+        """The grid files, written from per-scenario X P templates, equal np.savetxt of the three columns.
+
+        N = 16: 100 rows per chunk is not a multiple of one X column, 8 is less than one.
+        """
+        monkeypatch.setattr(cli, "_SAVETXT_ROWS", rows)
         text = TINY.format(out=tmp_path).replace("scenario = transport", "scenario = wigner")
         text = text.replace("scaled_planck = 2.6", "scaled_planck = 1.7")
         cfg = parse_config(text + "\n[wigner]\neta_values = 0 0.2\ncheckpoint_kicks = 2 3\n")

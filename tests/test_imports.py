@@ -1,10 +1,10 @@
 """Imports: every name a module of cantori imports is used there, and SciPy
 loads only with the elliptic classical backend.
 
-No linter runs on this code, so the first check is a test: it reads each
-module's syntax tree, collects the names its import statements bind, and fails
-on any that no expression loads.  __init__.py is exempt, since its imports are
-the package's exports.  The SciPy checks run in a fresh interpreter each, since
+No linter runs on this code, so the first check is a test: it reads the
+syntax tree of each module and of each test file, collects the names its
+import statements bind, and fails on any that no expression loads.
+__init__.py is exempt, since its imports are the package's exports.  The SciPy checks run in a fresh interpreter each, since
 this one has imported SciPy long before.
 """
 
@@ -17,11 +17,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cantori"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cantori"
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name,
 )
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))

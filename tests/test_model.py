@@ -13,10 +13,8 @@ from cantori.model import (
     PhysicalParams,
     SimParams,
     build_pulse_train,
-    chirikov_overlap,
     fourier_coefficient,
     physical_to_scaled,
-    resonance_width,
 )
 
 from conftest import double_pulse_profile, fourier_integral_oracle
@@ -145,6 +143,26 @@ class TestFourierCoefficient:
             assert fourier_coefficient(m, alpha, delta) == pytest.approx(
                 fourier_integral_oracle(m, alpha, delta), abs=1e-9
             )
+
+
+# Resonance-structure analytics: only these tests use them, so they live here.
+def resonance_width(m: int, k: float, alpha=Fraction(1, 20), delta=Fraction(1, 10)) -> float:
+    """Full momentum width 4 sqrt(|a_m| k) of the primary resonance at rho = 2 pi m."""
+    if not k > 0:
+        raise ParameterError(f"kick strength must be > 0, got {k}")
+    return 4.0 * math.sqrt(abs(fourier_coefficient(m, alpha, delta)) * k)
+
+
+def chirikov_overlap(m: int, n: int, k: float, alpha=Fraction(1, 20), delta=Fraction(1, 10)) -> bool:
+    """True when the m-th and n-th primary resonances satisfy the overlap condition.
+
+    Resonance centers sit at rho = 2 pi m; overlap when the half-widths
+    bridge the separation: 2 pi |m - n| <= 2 sqrt(|a_m| k) + 2 sqrt(|a_n| k).
+    """
+    if m == n:
+        raise ParameterError("resonance indices must differ")
+    half = resonance_width(m, k, alpha, delta) / 2 + resonance_width(n, k, alpha, delta) / 2
+    return 2.0 * math.pi * abs(m - n) <= half
 
 
 class TestResonanceStructure:

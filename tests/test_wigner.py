@@ -59,6 +59,19 @@ def toroidal_wigner_meshgrid(rho, hbar_k):
     return WignerGrid(w.real.T.copy(), np.pi * j / N, 0.5 * hbar_k * l, hbar_k)
 
 
+def coarse_wigner_indexed(rho, hbar_k):
+    """The index-array gather form of coarse_wigner, kept as its bitwise reference."""
+    m = rho.matrix
+    N = rho.size
+    j = np.arange(2 * N)[:, None]
+    l = 2 * np.arange(N) - N + j % 2           # the l of each cell's pair with l + j even (N is even)
+    g = m[((l + j) // 2 + N // 2) % N, ((l - j) // 2 + N // 2) % N]
+    g *= 1.0 + np.exp(1j * np.pi * j / N)      # the cell's k pair
+    w = np.fft.ifft(g[:N] + g[N:], axis=0)
+    w *= N / 4
+    return w.real.T.copy()
+
+
 def coherence(N, n, m):
     """|n><m| + |m><n| on ladder values n != m: Hermitian, off-diagonal, trace 0."""
     out = np.zeros((N, N), dtype=complex)
@@ -146,6 +159,12 @@ class TestCoarseWigner:
         coarse = coarse_wigner(rho, 2.6)
         assert coarse.shape == (N, N) and coarse.dtype == np.float64
         assert np.abs(coarse - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 16, 128])
+    @pytest.mark.parametrize("state", ["thermal", "pure", "from_state", "coherence"])
+    def test_bitwise_equal_to_indexed_gather(self, N, state):
+        rho = states(N)[state]
+        assert np.array_equal(coarse_wigner(rho, 2.6), coarse_wigner_indexed(rho, 2.6))
 
     @pytest.mark.parametrize("where", [(0, 1), (2, 0), (1, 3)])
     def test_non_hermitian_raises(self, where):
