@@ -105,9 +105,9 @@ class FluxEstimate:
     samples: np.ndarray      # per-replicate, per-direction flux samples
 
 
-def thermal_ensemble(params: SimParams, rng: np.random.Generator | None = None) -> ClassicalEnsemble:
-    """Uniform in phi, Gaussian in rho with width init_momentum_sigma."""
-    rng = rng or np.random.default_rng(params.rng_seed)
+def thermal_ensemble(params: SimParams) -> ClassicalEnsemble:
+    """Uniform in phi, Gaussian in rho with width init_momentum_sigma, drawn from rng_seed."""
+    rng = np.random.default_rng(params.rng_seed)
     phi = rng.uniform(0.0, TWO_PI, params.n_trajectories)
     rho = rng.normal(0.0, params.init_momentum_sigma, params.n_trajectories)
     return ClassicalEnsemble(phi, rho)
@@ -269,6 +269,20 @@ def kick_cycle(phi, rho, k, train: PulseTrain, method: str = "symplectic"):
     return phi, rho
 
 
+def _recorded_kicks(phi, rho, k, train: PulseTrain, n_kicks: int, method: str) -> np.ndarray:
+    """Stroboscopic snapshots (n_kicks + 1, *phi.shape, 2) of (phi, rho), phi
+    wrapped: the start, then the end of each kick cycle."""
+    if n_kicks < 0:
+        raise ParameterError(f"n_kicks must be >= 0, got {n_kicks}")
+    phi = np.mod(phi, TWO_PI)
+    snaps = np.empty((n_kicks + 1, *phi.shape, 2))
+    snaps[0, ..., 0], snaps[0, ..., 1] = phi, rho
+    for kick in range(1, n_kicks + 1):
+        phi, rho = kick_cycle(phi, rho, k, train, method=method)
+        snaps[kick, ..., 0], snaps[kick, ..., 1] = phi, rho
+    return snaps
+
+
 def evolve_ensemble(
     ensemble: ClassicalEnsemble,
     params: SimParams,
@@ -277,42 +291,19 @@ def evolve_ensemble(
     method: str = "symplectic",
 ) -> TrajectoryRecord:
     """Evolve an ensemble for n_kicks cycles, recording a snapshot at kicks 0..n_kicks."""
-    train = train or params.pulse_train()
     n_kicks = params.n_kicks if n_kicks is None else n_kicks
-    if n_kicks < 0:
-        raise ParameterError(f"n_kicks must be >= 0, got {n_kicks}")
-    phi = np.mod(ensemble.phi.copy(), TWO_PI)
-    rho = ensemble.rho.copy()
-
-    snaps_phi = [phi.copy()]
-    snaps_rho = [rho.copy()]
-    for _ in range(n_kicks):
-        phi, rho = kick_cycle(phi, rho, params.kick_strength, train, method=method)
-        snaps_phi.append(phi.copy())
-        snaps_rho.append(rho.copy())
-    return TrajectoryRecord(np.arange(len(snaps_phi)), np.array(snaps_phi), np.array(snaps_rho))
+    snaps = _recorded_kicks(ensemble.phi, ensemble.rho, params.kick_strength,
+                            train or params.pulse_train(), n_kicks, method)
+    return TrajectoryRecord(np.arange(n_kicks + 1), snaps[..., 0], snaps[..., 1])
 
 
-def poincare_section(
-    seeds,
-    k: float,
-    train: PulseTrain,
-    n_kicks: int,
-    method: str = "elliptic",
-) -> np.ndarray:
-    """Iterate the stroboscopic map for each seed; returns all (phi, rho) points, shape (n_points, 2)."""
+def poincare_section(seeds, k: float, train: PulseTrain, n_kicks: int) -> np.ndarray:
+    """Iterate the stroboscopic map (elliptic backend) from each (phi, rho) row of the (n, 2)
+    seeds; returns the points of kicks 0 ... n_kicks, kick-major, shape ((n_kicks + 1) * n, 2)."""
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if seeds.size == 0:
-        raise ParameterError("need at least one seed")
-    if n_kicks < 0:
-        raise ParameterError(f"n_kicks must be >= 0, got {n_kicks}")
-    phi = np.mod(seeds[:, 0].copy(), TWO_PI)
-    rho = seeds[:, 1].copy()
-    pts = [np.column_stack([phi, rho])]
-    for _ in range(n_kicks):
-        phi, rho = kick_cycle(phi, rho, k, train, method=method)
-        pts.append(np.column_stack([phi, rho]))
-    return np.concatenate(pts, axis=0)
+    if seeds.ndim != 2 or seeds.shape[1] != 2 or not len(seeds):
+        raise ParameterError(f"seeds must have shape (n, 2) with n >= 1, got {seeds.shape}")
+    return _recorded_kicks(seeds[:, 0], seeds[:, 1], k, train, n_kicks, "elliptic").reshape(-1, 2)
 
 
 def cantorus_flux(
@@ -321,42 +312,38 @@ def cantorus_flux(
     boundary: float,
     n_seeds: int = 100_000,
     n_replicates: int = 8,
-    band_halfwidth: float = TWO_PI,
     rng_seed: int = 0,
-    method: str = "elliptic",
 ) -> FluxEstimate:
     """Estimate the phase-space area crossing |rho| = boundary per kick cycle.
 
-    Each replicate seeds the band boundary +- band_halfwidth uniformly (seed
-    area = band area / n_seeds) and applies a single stroboscopic cycle; the
-    area carried by seeds that cross the boundary equals the turnstile lobe
-    area mapped across per cycle.  Outward and inward crossings give two
-    samples per replicate (equal in the mean, by area preservation).  Only the
-    first cycle after a fresh uniform fill measures the turnstile: the band
-    density near the boundary depletes on subsequent cycles and the crossing
-    counts decay, so replicates are independent seedings rather than later
-    cycles of one run.
+    Each replicate seeds the band boundary +- 2*pi uniformly (seed area =
+    band area / n_seeds) and applies a single stroboscopic cycle of the
+    elliptic backend; the area carried by seeds that cross the boundary
+    equals the turnstile lobe area mapped across per cycle.  Outward and
+    inward crossings give two samples per replicate (equal in the mean, by
+    area preservation).  Only the first cycle after a fresh uniform fill
+    measures the turnstile: the band density near the boundary depletes on
+    subsequent cycles and the crossing counts decay, so replicates are
+    independent seedings rather than later cycles of one run.
     """
-    area_per_seed = (TWO_PI * 2.0 * band_halfwidth) / n_seeds
-    samples = []
-    total = 0
+    if n_seeds < 1 or n_replicates < 1:
+        raise ParameterError(f"need n_seeds >= 1 and n_replicates >= 1, got {n_seeds} and {n_replicates}")
+    area_per_seed = (TWO_PI * 2.0 * TWO_PI) / n_seeds
+    counts = []        # crossings out, then in, per replicate
     for rep in range(n_replicates):
         rng = np.random.default_rng((rng_seed, rep))
         phi = rng.uniform(0.0, TWO_PI, n_seeds)
-        rho = rng.uniform(boundary - band_halfwidth, boundary + band_halfwidth, n_seeds)
+        rho = rng.uniform(boundary - TWO_PI, boundary + TWO_PI, n_seeds)
         below = rho < boundary
-        phi, rho = kick_cycle(phi, rho, k, train, method=method)
+        _, rho = kick_cycle(phi, rho, k, train, method="elliptic")
         above = rho > boundary
-        n_out = int((below & above).sum())
-        n_in = int((~below & ~above).sum())
-        total += n_out + n_in
-        samples.append(n_out * area_per_seed)
-        samples.append(n_in * area_per_seed)
+        counts += [int((below & above).sum()), int((~below & ~above).sum())]
+    total = sum(counts)
     if total < 100:
         raise StatisticsError(
             f"only {total} boundary crossings observed; increase seeds or replicates", total
         )
-    samples = np.asarray(samples, dtype=float)
+    samples = np.array(counts) * area_per_seed
     flux = float(samples.mean())
     stderr = float(samples.std(ddof=1) / np.sqrt(samples.size))
     return FluxEstimate(flux, stderr, total, samples)

@@ -157,6 +157,8 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _etas(text: str) -> tuple[float, ...]:
     etas = _floats(text)
+    if not etas:
+        raise ValueError("need one or more eta values")
     for e in etas:
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"eta value {e} outside [0, 1]")
@@ -274,8 +276,9 @@ def _write_text(outdir: Path, name: str, text, files: dict) -> None:
 def _templates(blocks: list[str], block_rows: int) -> list[tuple[int, str]]:
     """(row count, % template) per chunk of whole blocks, about _SAVETXT_ROWS rows each.
 
-    Each block holds block_rows rows, every row preceded by "\n"; the template
-    puts that newline at the end of each row instead.
+    Each block holds block_rows rows, every row preceded by "\n", and may open
+    with one more "\n" for a blank line; the template puts the newline before
+    each row at the end of the row instead.
     """
     step = max(1, _SAVETXT_ROWS // block_rows)
     chunks = (blocks[s:s + step] for s in range(0, len(blocks), step))
@@ -297,12 +300,12 @@ def _write_rows(outdir: Path, name: str, templates: list[tuple[int, str]], data,
     _write_text(outdir, name, parts(), files)
 
 
-def _savetxt(outdir: Path, name: str, data, header: str, files: dict, fmt="%.10g") -> None:
-    """The bytes np.savetxt(data, fmt=fmt, header=header, comments="# ") writes, chunk by chunk."""
+def _savetxt(outdir: Path, name: str, data, header: str, files: dict) -> None:
+    """The bytes np.savetxt(data, fmt="%.10g", header=header, comments="# ") writes, chunk by chunk."""
     data = np.asarray(data)
     if data.ndim == 1:
         data = data[:, None]
-    row = "\n" + " ".join([fmt] * data.shape[1])
+    row = "\n" + " ".join(["%.10g"] * data.shape[1])
     _write_rows(outdir, name, _templates([row] * len(data), 1), data, header, files)
 
 
@@ -348,20 +351,16 @@ def _scenario_waterfall(cfg: RunConfig, outdir: Path, files: dict) -> None:
     n_kicks = cfg.option("n_kicks")
     rho0, floquet = _quantum_start(p)
     rec = quantum.evolve_density(rho0, floquet, p.se_probability, n_kicks)
-    n = quantum.momentum_ladder(p.basis_size)
-    blocks = []
-    for i, kick in enumerate(rec.kicks):
-        rows = "\n".join(
-            f"{kick} {ni * p.scaled_planck / np.pi:.10g} {pi:.10g}"
-            for ni, pi in zip(n, rec.populations[i])
-        )
-        blocks.append(rows)
-    text = (
-        f"# momentum distributions, k={p.kick_strength}, eta={p.se_probability:g}\n"
-        "# kick rho_over_pi population  (blank line between kicks)\n"
-        + "\n\n".join(blocks) + "\n"
+    # One block of N rows per kick, after a blank line from the second kick on.
+    xs = ["%.10g" % v for v in (quantum.momentum_ladder(p.basis_size) * p.scaled_planck / np.pi).tolist()]
+    column = "".join(f"\n {x} %.10g" for x in xs)
+    blocks = [("\n" if kick else "") + column.replace("\n", f"\n{kick}") for kick in rec.kicks.tolist()]
+    _write_rows(
+        outdir, "waterfall.dat", _templates(blocks, len(xs)), rec.populations.ravel(),
+        f"momentum distributions, k={p.kick_strength}, eta={p.se_probability:g}\n"
+        "kick rho_over_pi population  (blank line between kicks)",
+        files,
     )
-    _write_text(outdir, "waterfall.dat", text, files)
 
 
 def _scenario_poincare(cfg: RunConfig, outdir: Path, files: dict) -> None:

@@ -138,6 +138,8 @@ class SimParams:
             raise ParameterError(f"n_kicks must be non-negative, got {self.n_kicks}")
         if self.n_trajectories <= 0:
             raise ParameterError(f"n_trajectories must be positive, got {self.n_trajectories}")
+        if self.rng_seed < 0:
+            raise ParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not 0 <= self.init_momentum_sigma < math.inf:
             raise ParameterError(f"init_momentum_sigma must be finite and >= 0, got {self.init_momentum_sigma}")
         if self.kick_spread_rms != 0:

@@ -27,10 +27,10 @@ directly, reads the populations from their diagonals, and returns to the
 momentum basis only for the checkpoints.  After each kick the frame entries
 below eps^2 are flushed to zero, a cut that keeps the whole evolution within
 about 1e-24 of the unflushed one at N = 512 (see _FLUSH_BELOW).  Each kick
-works only on the frame rows and columns that hold nonzero entries (from
-index w), and of those its product reaches (from r) it computes only the ones
-from rr on: a bound on each row and column proves that the flush would clear
-the others (see _surviving_from).
+multiplies only the frame rows and columns that hold nonzero entries (from
+index w), and of its product it computes only the rows and columns from rr on:
+a bound on each row and column proves that the flush would clear the others
+(see _surviving_from).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class DensityMatrix:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def validate(self, check_positivity: bool = True) -> None:
+    def validate(self) -> None:
         m = self.matrix
         herm = np.abs(m - m.conj().T).max()
         if herm > HERMITICITY_TOL:
@@ -76,10 +76,9 @@ class DensityMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > TRACE_TOL * 10:
             raise ParameterError(f"trace = {tr}, expected 1")
-        if check_positivity:
-            lo = np.linalg.eigvalsh(m).min()
-            if lo < -POSITIVITY_TOL:
-                raise ParameterError(f"negative eigenvalue {lo:.3e}")
+        lo = np.linalg.eigvalsh(m).min()
+        if lo < -POSITIVITY_TOL:
+            raise ParameterError(f"negative eigenvalue {lo:.3e}")
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -110,12 +109,9 @@ class DensityMatrix:
 
 @dataclass
 class FloquetOperator:
-    """Single-cycle unitary with the parameters it was built from."""
+    """Single-cycle unitary in the momentum eigenbasis."""
 
     matrix: np.ndarray
-    kick_strength: float
-    scaled_planck: float
-    segments: tuple = ()
 
     @property
     def size(self) -> int:
@@ -226,13 +222,6 @@ def _unfold(frames: list) -> np.ndarray:
     return m
 
 
-def _reach(u: np.ndarray) -> np.ndarray:
-    """reach[j]: the first row in which some column j' >= j of u is nonzero (len(u) if none)."""
-    nonzero = u != 0
-    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), len(u))
-    return np.minimum.accumulate(first[::-1])[::-1]
-
-
 def _occupied_from(frames: list, lo: int) -> int:
     """The first index >= lo at which a row or a column of some frame is nonzero (lo if none).
 
@@ -245,30 +234,31 @@ def _occupied_from(frames: list, lo: int) -> int:
     return lo
 
 
-def _surviving_from(frames: list, factors: list, r: int, w: int) -> int:
-    """The first index rr >= r at which a row or a column of some frame's next
-    product may survive the flush (r if none may; a NaN bound counts).
+def _surviving_from(frames: list, factors: list, w: int) -> int:
+    """The first index rr at which a row or a column of some frame's next
+    product may survive the flush (0 if none may; a NaN bound counts).
 
     Each factor tuple is (left, right, top |left|, top |right|), top the
-    largest entry modulus of any factor.  With L = left[r:, w:],
-    f = f[w:, w:] and R = right[w:, r:], row i of L f R is bounded by
+    largest entry modulus of any factor.  With L = left[:, w:],
+    f = f[w:, w:] and R = right[w:, :], row i of L f R is bounded by
     b_i = top sum_k |L_ik| c_k, where c_k = sum_l (|Re f_kl| + |Im f_kl|)
     >= sum_l |f_kl| and top >= max|R|, and column j by top sum_l d_l |R_lj|,
     d_l the same sums over the columns of f.  A row or column may survive if
     its bound reaches _FLUSH_BELOW / 2.  Below that, every computed entry,
     rounding included, is at most (1 + n*eps) b < _FLUSH_BELOW in modulus, so
-    _flush_tiny would zero both of its parts.  The nonzero entries of U's
-    flushed frames are at least _FLUSH_BELOW / 2 (about 2.5e-32; the
-    fixed-point columns are halved), so b does not underflow; a term that did
-    would move it by some 1e-320, far inside the factor 2 margin.
+    _flush_tiny would zero both of its parts.  A row or column that no column
+    of U's frames from w on reaches has a bound of exactly 0.  The nonzero
+    entries of U's flushed frames are at least _FLUSH_BELOW / 2 (about
+    2.5e-32; the fixed-point columns are halved), so b does not underflow; a
+    term that did would move it by some 1e-320, far inside the factor 2 margin.
     """
-    hit = np.zeros(len(frames[0]) - r, bool)
+    hit = np.zeros(len(frames[0]), bool)
     for f, (_, _, abs_left, abs_right) in zip(frames, factors):
         parts = np.abs(f[w:, w:].view(np.float64))
         sums = parts[:, ::2] + parts[:, 1::2]
-        hit |= ~(abs_left[r:, w:] @ sums.sum(axis=1) < 0.5 * _FLUSH_BELOW)
-        hit |= ~(sums.sum(axis=0) @ abs_right[w:, r:] < 0.5 * _FLUSH_BELOW)
-    return r + int(np.argmax(hit))
+        hit |= ~(abs_left[:, w:] @ sums.sum(axis=1) < 0.5 * _FLUSH_BELOW)
+        hit |= ~(sums.sum(axis=0) @ abs_right[w:, :] < 0.5 * _FLUSH_BELOW)
+    return int(np.argmax(hit))
 
 
 def build_floquet(N: int, k: float, hbar_k: float, train: PulseTrain) -> FloquetOperator:
@@ -304,7 +294,7 @@ def build_floquet(N: int, k: float, hbar_k: float, train: PulseTrain) -> Floquet
         if dur not in light:
             light[dur] = (_expm_hermitian(he, t), _expm_hermitian(ho, t))
         ue, uo = light[dur][0] @ ue, light[dur][1] @ uo
-    return FloquetOperator(_unfold([ue * scale, np.pad(uo, 1)]), k, hbar_k, train.segments)
+    return FloquetOperator(_unfold([ue * scale, np.pad(uo, 1)]))
 
 
 def _channel(a: np.ndarray, b: np.ndarray, eta: float, lo: int, sign: float) -> None:
@@ -382,12 +372,11 @@ def evolve_density(
     first index with a nonzero row or column: every entry outside it is an
     exact zero (frame entries below _FLUSH_BELOW = eps^2 are zeroed after each
     cycle, which moves populations and checkpoints by about
-    1.5 * n_kicks * N^2 * eps^2 at most), and the cycle's result is confined
-    to [r:, r:], r the first row that a column of U's frames from w onward
-    reaches.  Only [rr:, rr:] of it is computed: the rows and columns
-    r ... rr-1, whose bound lies below _FLUSH_BELOW / 2, are set to the zeros
-    the flush would leave (see _surviving_from).  rr may exceed w.  Records
-    diag(rho) every kick and the full density matrix at the requested
+    1.5 * n_kicks * N^2 * eps^2 at most).  Only [rr:, rr:] of the cycle's
+    result is computed: the rows and columns before rr, whose bound lies below
+    _FLUSH_BELOW / 2, are the zeros the flush would leave (see
+    _surviving_from), and those from w on are set to them.  rr may exceed w.
+    Records diag(rho) every kick and the full density matrix at the requested
     checkpoints.  Tracks the largest population reaching the ladder edges,
     where the periodic wrap is unphysical.
     """
@@ -411,7 +400,6 @@ def evolve_density(
     _flush_tiny(ub)
     ua[:, [0, h]] *= 0.5
     ub[:, [0, h]] *= 0.5
-    reach = np.minimum(_reach(ua), _reach(ub))
     abs_a, abs_b = np.abs(ua), np.abs(ub)
     top = max(abs_a.max(), abs_b.max())
     abs_a *= top
@@ -429,8 +417,8 @@ def evolve_density(
     pops[0] = momentum_distribution(rho0)
     checks = {0: DensityMatrix(rho0.matrix.copy())} if 0 in checkpoint_kicks else {}
     for kick in range(1, n_kicks + 1):
-        r = min(int(reach[w]), w)
-        rr = _surviving_from(frames, factors, r, w)
+        rr = _surviving_from(frames, factors, w)
+        r = min(rr, w)
         for f, (left, right, _, _) in zip(frames, factors):
             product = _flush_tiny(left[rr:, w:] @ f[w:, w:] @ right[w:, rr:])
             f[r:rr, r:] = 0.0

@@ -39,15 +39,8 @@ class WignerGrid:
     p: np.ndarray            # (2N,) momenta P_l = (hbar_k/2)*l, l = -N ... N-1
     hbar_k: float
 
-    @property
-    def basis_size(self) -> int:
-        return self.values.shape[0] // 2
-
     def coarse(self) -> np.ndarray:
         return coarse_grain(self.values)
-
-    def coarse_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        return coarse_axes(self.basis_size, self.hbar_k)
 
 
 def _axes(n: int, hbar_k: float) -> tuple[np.ndarray, np.ndarray]:

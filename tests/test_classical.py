@@ -189,6 +189,21 @@ class TestPoincare:
         with pytest.raises(ParameterError, match="n_kicks"):
             poincare_section([(0.0, 2.0)], 5.0, paper_train, -2)
 
+    @pytest.mark.parametrize("seeds", [np.zeros((3, 3)), [0.0, 1.0, 2.0], np.zeros((4, 1)), np.zeros((2, 2, 2))],
+                             ids=["three-columns", "one-triple", "one-column", "three-axes"])
+    def test_seed_shape_raises(self, paper_train, seeds):
+        with pytest.raises(ParameterError, match="shape"):
+            poincare_section(seeds, 5.0, paper_train, 3)
+
+    def test_points_are_the_ensemble_snapshots(self, paper_train):
+        """The section is evolve_ensemble's elliptic snapshots, kick by kick, bit for bit."""
+        seeds = np.column_stack([np.linspace(-1.0, 8.0, 7), np.linspace(-40.0, 40.0, 7)])
+        pts = poincare_section(seeds, 270.0, paper_train, 12)
+        p = SimParams(kick_strength=270.0, scaled_planck=2.6)
+        rec = evolve_ensemble(ClassicalEnsemble(seeds[:, 0], seeds[:, 1]), p, paper_train, n_kicks=12, method="elliptic")
+        assert pts.shape == (13 * 7, 2)
+        assert np.array_equal(pts, np.stack([rec.phi, rec.rho], axis=-1).reshape(-1, 2))
+
     def test_island_present_only_where_coefficient_nonzero(self, paper_train):
         # At low kick strength, orbits launched on a primary resonance with
         # a_m != 0 (m=4) librate with a momentum excursion of order the
@@ -219,6 +234,12 @@ class TestCantorusFlux:
         with pytest.raises(StatisticsError) as exc:
             cantorus_flux(5.0, paper_train, 10 * np.pi, n_seeds=20_000, n_replicates=2)
         assert exc.value.count < 20
+
+    @pytest.mark.parametrize("n_seeds,n_replicates", [(0, 2), (-5, 2), (1000, 0)],
+                             ids=["no-seeds", "negative-seeds", "no-replicates"])
+    def test_bad_counts_raise(self, paper_train, n_seeds, n_replicates):
+        with pytest.raises(ParameterError, match="n_seeds >= 1 and n_replicates >= 1"):
+            cantorus_flux(280.0, paper_train, 10 * np.pi, n_seeds=n_seeds, n_replicates=n_replicates)
 
     def test_flux_symmetric_in_boundary_sign(self, paper_train):
         up = cantorus_flux(280.0, paper_train, 10 * np.pi, n_seeds=40_000, n_replicates=4, rng_seed=1)

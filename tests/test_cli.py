@@ -224,6 +224,17 @@ class TestRunScenario:
         assert list((tmp_path / "runs").iterdir()) == []
 
 
+def waterfall_reference(p, rec) -> str:
+    """waterfall.dat formatted row by row: a block of N rows per kick, a blank line between kicks."""
+    n = quantum.momentum_ladder(p.basis_size)
+    blocks = [
+        "\n".join(f"{kick} {ni * p.scaled_planck / np.pi:.10g} {pi:.10g}" for ni, pi in zip(n, rec.populations[i]))
+        for i, kick in enumerate(rec.kicks)
+    ]
+    return (f"# momentum distributions, k={p.kick_strength}, eta={p.se_probability:g}\n"
+            "# kick rho_over_pi population  (blank line between kicks)\n" + "\n\n".join(blocks) + "\n")
+
+
 class TestSavetxt:
     """cli._savetxt writes exactly the bytes of np.savetxt(..., comments="# ")."""
 
@@ -269,6 +280,21 @@ class TestSavetxt:
                 np.savetxt(buf, np.column_stack([xx.ravel(), pp.ravel(), w.T.ravel()]), header=header,
                            comments="# ", fmt="%.10g")
                 assert (outdir / f"wigner_eta_{eta:g}_kick_{kick}.dat").read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize("n_kicks", [0, 5])
+    @pytest.mark.parametrize("rows", [24, 7, cli._SAVETXT_ROWS], ids=["split-block", "under-one-block", "default"])
+    def test_waterfall_matches_reference(self, tmp_path, monkeypatch, rows, n_kicks):
+        """N = 16: 24 rows per chunk would cut the second kick's block, 7 is less than one block."""
+        monkeypatch.setattr(cli, "_SAVETXT_ROWS", rows)
+        text = TINY.format(out=tmp_path).replace("scenario = transport", "scenario = waterfall")
+        text = text.replace("rng_seed = 7", "rng_seed = 7\nse_probability = 0.05")
+        cfg = parse_config(text + f"\n[waterfall]\nn_kicks = {n_kicks}\n")
+        outdir, manifest = run_scenario(cfg, stamp="x")
+        p = cfg.params
+        rho0, floquet = cli._quantum_start(p)
+        expected = waterfall_reference(p, quantum.evolve_density(rho0, floquet, p.se_probability, n_kicks))
+        assert (outdir / "waterfall.dat").read_bytes() == expected.encode()
+        assert manifest.files["waterfall.dat"] == hashlib.sha256(expected.encode()).hexdigest()
 
 
 class TestMain:
@@ -377,13 +403,16 @@ class TestStrictConfig:
             ("wigner", "checkpoint_kicks = 70", "checkpoint_kicks = 5 5"),
             ("waterfall", "n_kicks = 50", "n_kicks = -3"),
             ("poincare", "n_kicks = 300", "n_kicks = -3"),
+            ("transport", "rng_seed = 20020", "rng_seed = -1"),
+            ("transport", "eta_values = 0 0.0187 0.0503", "eta_values = ,"),
+            ("wigner", "eta_values = 0 0.02", "eta_values = ,"),
         ],
         ids=[
             "params-key", "section", "checkpoint-kicks", "poincare-seeds", "flux-seeds", "physical-key", "ladder",
             "flux-boundary-nan", "poincare-rho-max-nan", "transport-boundary-nan", "sigma-nan", "spread-nan",
             "kick-inf", "eta-nan", "spread-transport", "spread-wigner", "spread-waterfall", "spread-flux",
             "spread-poincare", "eta-file-name-collision", "eta-repeat", "checkpoint-repeat", "waterfall-kicks-negative",
-            "poincare-kicks-negative",
+            "poincare-kicks-negative", "rng-seed-negative", "eta-empty-transport", "eta-empty-wigner",
         ],
     )
     def test_rejected_before_running(self, tmp_path, capsys, scenario, old, new):

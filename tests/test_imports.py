@@ -1,10 +1,13 @@
-"""Imports: every name a module of cantori imports is used there, and SciPy
-loads only with the elliptic classical backend.
+"""Imports: every name a module of cantori imports is used there, every
+private name it defines is used there, and SciPy loads only with the
+elliptic classical backend.
 
-No linter runs on this code, so the first check is a test: it reads the
-syntax tree of each module and of each test file, collects the names its
-import statements bind, and fails on any that no expression loads.
-__init__.py is exempt, since its imports are the package's exports.  The SciPy checks run in a fresh interpreter each, since
+No linter runs on this code, so two tests stand in for one.  The first
+reads the syntax tree of each module and of each test file, collects the
+names its import statements bind, and fails on any that no expression
+loads; __init__.py is exempt, since its imports are the package's exports.
+The second fails on any top-level private function, class or variable of a
+module that the module itself never loads.  The SciPy checks run in a fresh interpreter each, since
 this one has imported SciPy long before.
 """
 
@@ -36,6 +39,25 @@ def test_no_unused_imports(path):
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in loaded}
     assert not unused, f"{path.name} imports names it never uses (name: line): {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    """Every module-level private name (function, class or assignment) is loaded in its own module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    private = {name: line for name, line in defined.items() if name.startswith("_") and not name.startswith("__")}
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = {name: line for name, line in private.items() if name not in loaded}
+    assert not unused, f"{path.name} defines private names it never uses (name: line): {unused}"
 
 
 def run_fresh(script: str, *args: str) -> str:

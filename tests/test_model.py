@@ -211,6 +211,7 @@ class TestSimParams:
         dict(kick_strength=270.0, scaled_planck=2.6, init_momentum_sigma=math.inf),
         dict(kick_strength=270.0, scaled_planck=2.6, kick_spread_rms=0.05),
         dict(kick_strength=270.0, scaled_planck=2.6, kick_spread_rms=math.nan),
+        dict(kick_strength=270.0, scaled_planck=2.6, rng_seed=-1),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ParameterError):

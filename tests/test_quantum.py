@@ -341,9 +341,14 @@ def apply_decoherence(rho: DensityMatrix, eta: float) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def reference_products(frames, factors, r, w):
-    """The kick's products without the row bound: every row and column from r, then the flush."""
-    return [_flush_tiny(left[r:, w:] @ f[w:, w:] @ right[w:, r:]) for f, (left, right, _, _) in zip(frames, factors)]
+def reference_products(frames, factors, w):
+    """The kick's products without the row bound: every row and column, then the flush."""
+    return [_flush_tiny(left[:, w:] @ f[w:, w:] @ right[w:, :]) for f, (left, right, _, _) in zip(frames, factors)]
+
+
+def first_reached(factors, w):
+    """The first row in which some column w ... of a left factor (U's frames) is nonzero."""
+    return min(int(np.argmax(np.any(left[:, w:] != 0, axis=1))) for left, _, _, _ in factors)
 
 
 class TestParityBlocks:
@@ -438,21 +443,22 @@ class TestParityBlocks:
         ids=["thermal-256", "thermal-512", "coherence", "coherence-256", "even-256", "odd-256"],
     )
     def test_bound_skips_only_rows_the_flush_clears(self, paper_train, monkeypatch, make_rho, k, skips):
-        """At every kick of a real run, the rows and columns r ... rr-1 that the
+        """At every kick of a real run, the rows and columns 0 ... rr-1 that the
         bound skips are exact zeros of the full, flushed product, and every
-        frame is exactly zero outside its window [w:, w:]."""
+        frame is exactly zero outside its window [w:, w:].  Where the bound
+        skips, it skips more than the rows U's frames do not reach."""
         bound = quantum._surviving_from
         seen = []
 
-        def checked(frames, factors, r, w):
+        def checked(frames, factors, w):
             assert not any(np.any(f[:w]) or np.any(f[:, :w]) for f in frames)
-            rr = bound(frames, factors, r, w)
-            nonzero = np.zeros(len(frames[0]) - r, bool)
-            for p in reference_products(frames, factors, r, w):
-                assert not np.any(p[: rr - r]) and not np.any(p[:, : rr - r])
+            rr = bound(frames, factors, w)
+            nonzero = np.zeros(len(frames[0]), bool)
+            for p in reference_products(frames, factors, w):
+                assert not np.any(p[:rr]) and not np.any(p[:, :rr])
                 nonzero |= np.any(p != 0, axis=0) | np.any(p != 0, axis=1)
-            assert rr <= r + int(np.argmax(nonzero))
-            seen.append((r, rr))
+            assert rr <= int(np.argmax(nonzero))
+            seen.append((min(first_reached(factors, w), w), rr))
             return rr
 
         monkeypatch.setattr(quantum, "_surviving_from", checked)
@@ -475,8 +481,8 @@ class TestParityBlocks:
         for cut in (quantum._FLUSH_BELOW, 1e-90):
             rows = []
 
-            def counted(frames, factors, r, w):
-                rr = bound(frames, factors, r, w)
+            def counted(frames, factors, w):
+                rr = bound(frames, factors, w)
                 rows.append(len(frames[0]) - rr)
                 return rr
 
@@ -497,7 +503,7 @@ class TestParityBlocks:
         swap[[0, h]] = h, 0
         weights = np.zeros(N)
         weights[[2, N - 2, h]] = 0.25, 0.25, 0.5
-        flo = FloquetOperator(np.eye(N, dtype=complex)[swap], 0.0, 2.6)
+        flo = FloquetOperator(np.eye(N, dtype=complex)[swap])
         rec = evolve_density(DensityMatrix(np.diag(weights)), flo, 0.0, 1)
         np.testing.assert_allclose(rec.populations[1], weights[swap], atol=1e-15)
 
@@ -507,7 +513,7 @@ class TestParityBlocks:
         ids=["diagonal-phases", "ladder-shift"],
     )
     def test_rejects_parity_breaking_operator(self, u):
-        flo = FloquetOperator(u.astype(complex), 0.0, 2.6)
+        flo = FloquetOperator(u.astype(complex))
         assert flo.unitarity_defect() < 1e-15
         with pytest.raises(ParameterError, match="parity"):
             evolve_density(DensityMatrix.pure(8, 0), flo, 0.0, 1)

@@ -12,7 +12,7 @@ from cantori import (
     toroidal_wigner,
 )
 from cantori.model import ParameterError
-from cantori.wigner import coarse_negativity
+from cantori.wigner import coarse_axes, coarse_negativity
 
 from test_quantum import apply_decoherence
 
@@ -115,7 +115,7 @@ class TestTransform:
         assert grid.values.dtype == np.float64
         assert np.allclose(grid.x, np.pi * np.arange(2 * N) / N)
         assert np.allclose(grid.p, 1.3 * np.arange(-N, N))
-        cx, cp = grid.coarse_axes()
+        cx, cp = coarse_axes(N, 2.6)
         assert cx.shape == cp.shape == (N,)
 
     def test_linearity(self):
