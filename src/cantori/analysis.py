@@ -15,7 +15,6 @@ class TransportCurve:
 
     kicks: np.ndarray
     fraction_outside: np.ndarray
-    boundary: float
 
     def __post_init__(self):
         self.kicks = np.asarray(self.kicks)
@@ -45,7 +44,7 @@ def fraction_outside_quantum(populations: np.ndarray, hbar_k: float, boundary: f
 def transport_curve_classical(record, boundary: float) -> TransportCurve:
     """Fraction-outside curve from a TrajectoryRecord."""
     frac = np.mean(np.abs(record.rho) > boundary, axis=1)
-    return TransportCurve(record.kicks.copy(), frac, boundary)
+    return TransportCurve(record.kicks.copy(), frac)
 
 
 def transport_curve_quantum(record, hbar_k: float, boundary: float) -> TransportCurve:
@@ -53,5 +52,5 @@ def transport_curve_quantum(record, hbar_k: float, boundary: float) -> Transport
     frac = np.array(
         [fraction_outside_quantum(p, hbar_k, boundary) for p in record.populations]
     )
-    return TransportCurve(record.kicks.copy(), frac, boundary)
+    return TransportCurve(record.kicks.copy(), frac)
 

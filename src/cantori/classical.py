@@ -328,6 +328,8 @@ def cantorus_flux(
     """
     if n_seeds < 1 or n_replicates < 1:
         raise ParameterError(f"need n_seeds >= 1 and n_replicates >= 1, got {n_seeds} and {n_replicates}")
+    if rng_seed < 0 or not np.isfinite(boundary):
+        raise ParameterError(f"need rng_seed >= 0 and a finite boundary, got {rng_seed} and {boundary}")
     area_per_seed = (TWO_PI * 2.0 * TWO_PI) / n_seeds
     counts = []        # crossings out, then in, per replicate
     for rep in range(n_replicates):

@@ -26,11 +26,12 @@ even-odd coherence (every thermal state), applies the channel to the frames
 directly, reads the populations from their diagonals, and returns to the
 momentum basis only for the checkpoints.  After each kick the frame entries
 below eps^2 are flushed to zero, a cut that keeps the whole evolution within
-about 1e-24 of the unflushed one at N = 512 (see _FLUSH_BELOW).  Each kick
-multiplies only the frame rows and columns that hold nonzero entries (from
-index w), and of its product it computes only the rows and columns from rr on:
-a bound on each row and column proves that the flush would clear the others
-(see _surviving_from).
+about 1e-24 of the unflushed one at N = 512 (see _FLUSH_BELOW).  Of each
+kick's product only the rows and columns from an index rr on are computed: a
+bound on each row and column proves that the flush would clear the others (see
+_surviving_from).  So the frames stay zero outside one trailing window, which
+starts at rr after the cycle and one index earlier after the channel, and the
+next kick multiplies only that window.
 """
 
 from __future__ import annotations
@@ -222,25 +223,14 @@ def _unfold(frames: list) -> np.ndarray:
     return m
 
 
-def _occupied_from(frames: list, lo: int) -> int:
-    """The first index >= lo at which a row or a column of some frame is nonzero (lo if none).
-
-    Every frame must be zero in its rows and columns below lo, so at index j
-    only row j from column j on and column j from row j on can be nonzero.
-    """
-    for j in range(lo, len(frames[0])):
-        if any(f[j, j:].any() or f[j:, j].any() for f in frames):
-            return j
-    return lo
-
-
 def _surviving_from(frames: list, factors: list, w: int) -> int:
     """The first index rr at which a row or a column of some frame's next
     product may survive the flush (0 if none may; a NaN bound counts).
 
-    Each factor tuple is (left, right, top |left|, top |right|), top the
-    largest entry modulus of any factor.  With L = left[:, w:],
-    f = f[w:, w:] and R = right[w:, :], row i of L f R is bounded by
+    Every frame must be zero in its rows and columns below w.  Each factor
+    tuple is (left, right, top |left|, top |right|), top the largest entry
+    modulus of any factor.  With L = left[:, w:], f = f[w:, w:] and
+    R = right[w:, :], row i of L f R is bounded by
     b_i = top sum_k |L_ik| c_k, where c_k = sum_l (|Re f_kl| + |Im f_kl|)
     >= sum_l |f_kl| and top >= max|R|, and column j by top sum_l d_l |R_lj|,
     d_l the same sums over the columns of f.  A row or column may survive if
@@ -338,11 +328,6 @@ def _channel(a: np.ndarray, b: np.ndarray, eta: float, lo: int, sign: float) -> 
     np.subtract(s_new, d_new, out=wb)
 
 
-def momentum_distribution(rho: DensityMatrix) -> np.ndarray:
-    """Populations diag(rho), clipped of numerical imaginary residue."""
-    return np.real(np.diag(rho.matrix)).copy()
-
-
 @dataclass
 class EvolutionRecord:
     """Per-kick momentum populations plus full-state checkpoints."""
@@ -368,17 +353,19 @@ def evolve_density(
     the requested checkpoints.  The even-odd frames are evolved only when
     rho0 has any, since neither the cycle nor the channel creates them.
 
-    Each kick works on the trailing [w:, w:] corner of the frames, w being the
-    first index with a nonzero row or column: every entry outside it is an
-    exact zero (frame entries below _FLUSH_BELOW = eps^2 are zeroed after each
-    cycle, which moves populations and checkpoints by about
-    1.5 * n_kicks * N^2 * eps^2 at most).  Only [rr:, rr:] of the cycle's
-    result is computed: the rows and columns before rr, whose bound lies below
-    _FLUSH_BELOW / 2, are the zeros the flush would leave (see
-    _surviving_from), and those from w on are set to them.  rr may exceed w.
-    Records diag(rho) every kick and the full density matrix at the requested
-    checkpoints.  Tracks the largest population reaching the ladder edges,
-    where the periodic wrap is unphysical.
+    Each kick works on the trailing [w:, w:] window of the frames, outside
+    which every entry is an exact zero; w is 0 before the first kick.  Only
+    [rr:, rr:] of the cycle's result is computed: the rows and columns before
+    rr, whose bound lies below _FLUSH_BELOW / 2, are the zeros the flush would
+    leave (see _surviving_from), and those from w on are set to them.  Frame
+    entries below _FLUSH_BELOW = eps^2 are zeroed after each cycle, which
+    moves populations and checkpoints by about 1.5 * n_kicks * N^2 * eps^2 at
+    most.  The window then starts at rr (which may exceed w), and one index
+    earlier after the channel, which couples each entry to its diagonal
+    neighbours.  Records diag(rho) at kick 0 and after every kick, and the
+    full density matrix at the requested checkpoints, all read from the
+    frames.  Tracks the largest population reaching the ladder edges, where
+    the periodic wrap is unphysical.
     """
     if not 0.0 <= eta <= 1.0:
         raise ParameterError(f"eta must lie in [0, 1], got {eta}")
@@ -411,25 +398,24 @@ def evolve_density(
         factors += [(ua, ub.conj().T, abs_a, abs_b.T), (ub, ua.conj().T, abs_b, abs_a.T)]
     else:
         del frames[2:]
-    w = _occupied_from(frames, 0)
-
     pops = np.empty((n_kicks + 1, 2 * h))
-    pops[0] = momentum_distribution(rho0)
-    checks = {0: DensityMatrix(rho0.matrix.copy())} if 0 in checkpoint_kicks else {}
-    for kick in range(1, n_kicks + 1):
-        rr = _surviving_from(frames, factors, w)
-        r = min(rr, w)
-        for f, (left, right, _, _) in zip(frames, factors):
-            product = _flush_tiny(left[rr:, w:] @ f[w:, w:] @ right[w:, rr:])
-            f[r:rr, r:] = 0.0
-            f[rr:, r:rr] = 0.0
-            f[rr:, rr:] = product
-        w = _occupied_from(frames, rr)
-        if eta > 0.0:
-            w = max(w - 1, 0)
-            _channel(frames[0], frames[1], eta, w, 1.0)
-            if cross:
-                _channel(frames[2], frames[3], eta, w, -1.0)
+    checks = {}
+    w = 0
+    for kick in range(n_kicks + 1):
+        if kick:
+            rr = _surviving_from(frames, factors, w)
+            r = min(rr, w)
+            for f, (left, right, _, _) in zip(frames, factors):
+                product = _flush_tiny(left[rr:, w:] @ f[w:, w:] @ right[w:, rr:])
+                f[r:rr, r:] = 0.0
+                f[rr:, r:rr] = 0.0
+                f[rr:, rr:] = product
+            w = rr
+            if eta > 0.0:
+                w = max(w - 1, 0)
+                _channel(frames[0], frames[1], eta, w, 1.0)
+                if cross:
+                    _channel(frames[2], frames[3], eta, w, -1.0)
         # diag(rho) at j and at its mirror N - j: (ee + oo)/2 +- (eo + oe)/2 in the frame.
         s = 0.5 * (frames[0].diagonal() + frames[1].diagonal()).real
         c = 0.5 * (frames[2].diagonal() + frames[3].diagonal()).real if cross else 0.0

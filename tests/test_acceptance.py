@@ -7,21 +7,11 @@ production grid) live in module-scoped fixtures so each is done once.
 import numpy as np
 import pytest
 
-from cantori import (
-    DensityMatrix,
-    SimParams,
-    build_floquet,
-    cantorus_flux,
-    evolve_density,
-    evolve_ensemble,
-    fourier_coefficient,
-    momentum_ladder,
-    negativity_volume,
-    thermal_ensemble,
-    toroidal_wigner,
-)
 from cantori.analysis import fraction_outside_quantum, transport_curve_classical
-from cantori.classical import kick_cycle
+from cantori.classical import cantorus_flux, evolve_ensemble, kick_cycle, thermal_ensemble
+from cantori.model import SimParams, fourier_coefficient
+from cantori.quantum import DensityMatrix, build_floquet, evolve_density, momentum_ladder
+from cantori.wigner import negativity_volume, toroidal_wigner
 from conftest import fourier_integral_oracle
 
 BOUNDARY = 10.0 * np.pi

@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import erfc
 
-from cantori import (
-    ClassicalEnsemble,
-    SimParams,
+from cantori.analysis import (
     TransportCurve,
     fraction_outside_quantum,
-    thermal_ensemble,
+    transport_curve_classical,
+    transport_curve_quantum,
 )
-from cantori.analysis import transport_curve_classical, transport_curve_quantum
-from cantori.classical import TrajectoryRecord
-from cantori.model import ParameterError
+from cantori.classical import ClassicalEnsemble, TrajectoryRecord, thermal_ensemble
+from cantori.model import ParameterError, SimParams
 
 
 def fraction_outside_classical(ensemble, boundary):
@@ -99,9 +97,9 @@ class TestFractionOutsideQuantum:
 class TestTransportCurve:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            TransportCurve(np.arange(3), np.zeros(2), 1.0)
+            TransportCurve(np.arange(3), np.zeros(2))
         with pytest.raises(ParameterError):
-            TransportCurve(np.arange(2), np.array([0.5, 1.5]), 1.0)
+            TransportCurve(np.arange(2), np.array([0.5, 1.5]))
 
     def test_from_trajectory_record(self):
         rec = TrajectoryRecord(
@@ -112,7 +110,6 @@ class TestTransportCurve:
         curve = transport_curve_classical(rec, 2.0)
         assert np.array_equal(curve.kicks, [0, 1])
         assert np.allclose(curve.fraction_outside, [0.5, 0.75])
-        assert curve.boundary == 2.0
 
     def test_from_population_record(self):
         from types import SimpleNamespace
@@ -126,4 +123,3 @@ class TestTransportCurve:
         curve = transport_curve_quantum(rec, 2.0, 9.0)
         assert np.array_equal(curve.kicks, [0, 1])
         assert np.allclose(curve.fraction_outside, [0.0, 1.0])
-        assert curve.boundary == 9.0

@@ -241,6 +241,12 @@ class TestCantorusFlux:
         with pytest.raises(ParameterError, match="n_seeds >= 1 and n_replicates >= 1"):
             cantorus_flux(280.0, paper_train, 10 * np.pi, n_seeds=n_seeds, n_replicates=n_replicates)
 
+    @pytest.mark.parametrize("boundary,rng_seed", [(10 * np.pi, -1), (np.nan, 0), (np.inf, 0)],
+                             ids=["negative-seed", "nan-boundary", "inf-boundary"])
+    def test_bad_seed_or_boundary_raise(self, paper_train, boundary, rng_seed):
+        with pytest.raises(ParameterError, match="rng_seed >= 0 and a finite boundary"):
+            cantorus_flux(280.0, paper_train, boundary, n_seeds=100, n_replicates=1, rng_seed=rng_seed)
+
     def test_flux_symmetric_in_boundary_sign(self, paper_train):
         up = cantorus_flux(280.0, paper_train, 10 * np.pi, n_seeds=40_000, n_replicates=4, rng_seed=1)
         down = cantorus_flux(280.0, paper_train, -10 * np.pi, n_seeds=40_000, n_replicates=4, rng_seed=2)

@@ -83,7 +83,7 @@ class TestParse:
             parse_config(bad)
 
     def test_physical_section_overrides_scaled(self):
-        from cantori import PhysicalParams, physical_to_scaled
+        from cantori.model import PhysicalParams, physical_to_scaled
 
         text = DEFAULT_CONFIG + (
             "\n[physical]\n"

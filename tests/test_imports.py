@@ -5,9 +5,10 @@ elliptic classical backend.
 No linter runs on this code, so two tests stand in for one.  The first
 reads the syntax tree of each module and of each test file, collects the
 names its import statements bind, and fails on any that no expression
-loads; __init__.py is exempt, since its imports are the package's exports.
-The second fails on any top-level private function, class or variable of a
-module that the module itself never loads.  The SciPy checks run in a fresh interpreter each, since
+loads.  It covers __init__.py too: the package re-exports nothing, so each
+name is imported from the module that defines it.  The second fails on any
+top-level private function, class or variable of a module that the module
+itself never loads.  The SciPy checks run in a fresh interpreter each, since
 this one has imported SciPy long before.
 """
 
@@ -26,7 +27,7 @@ SRC = TESTS.parent / "src" / "cantori"
 
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py")),
+    sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
     ids=lambda p: p.name,
 )
 def test_no_unused_imports(path):

@@ -19,25 +19,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cantori import (
-    DensityMatrix,
-    ParameterError,
-    PulseTrain,
-    build_floquet,
-    build_hamiltonians,
-    evolve_density,
-    momentum_distribution,
-    momentum_ladder,
-)
 from cantori import quantum
+from cantori.model import ParameterError, PulseTrain
 from cantori.quantum import (
     UNITARITY_TOL,
+    DensityMatrix,
     FloquetOperator,
     _channel,
     _expm_hermitian,
     _flush_tiny,
     _fold,
     _unfold,
+    build_floquet,
+    build_hamiltonians,
+    evolve_density,
+    momentum_ladder,
 )
 
 
@@ -174,7 +170,7 @@ class TestDensityMatrix:
         rho = DensityMatrix.pure(8, -2)
         rho.validate()
         assert rho.purity() == pytest.approx(1.0)
-        assert momentum_distribution(rho)[2] == 1.0
+        assert np.real(np.diag(rho.matrix))[2] == 1.0
         mm = DensityMatrix(np.eye(8) / 8)
         mm.validate()
         assert mm.purity() == pytest.approx(1.0 / 8)
@@ -184,7 +180,7 @@ class TestDensityMatrix:
         rho = DensityMatrix.thermal(N, hbar_k, sigma)
         rho.validate()
         n = momentum_ladder(N)
-        p = momentum_distribution(rho)
+        p = np.real(np.diag(rho.matrix))
         assert p @ (n * hbar_k) == pytest.approx(0.0, abs=1e-6)
         assert p @ (n * hbar_k) ** 2.0 == pytest.approx(sigma**2, rel=1e-3)
 
@@ -210,7 +206,7 @@ class TestDensityMatrix:
 class TestDecoherence:
     def test_eta_one_pure_state(self):
         rho = apply_decoherence(DensityMatrix.pure(8, 0), 1.0)
-        p = momentum_distribution(rho)
+        p = np.real(np.diag(rho.matrix))
         n = momentum_ladder(8)
         expected = np.zeros(8)
         expected[n == 1] = expected[n == -1] = 0.5
@@ -261,7 +257,7 @@ class TestEvolution:
         assert set(rec.checkpoints) == {0, 3, 6}
         assert rec.checkpoints[3].matrix is not rec.checkpoints[6].matrix
         np.testing.assert_allclose(
-            momentum_distribution(rec.checkpoints[6]), rec.populations[6], atol=1e-14
+            np.real(np.diag(rec.checkpoints[6].matrix)), rec.populations[6], atol=1e-14
         )
 
     def test_edge_population_tracked(self, paper_train):
@@ -413,8 +409,11 @@ class TestParityBlocks:
         rho0 = make_rho()
         N, n_kicks = rho0.size, 12
         flo = build_floquet(N, k, 2.6, paper_train)
-        rec = evolve_density(rho0, flo, eta, n_kicks, checkpoint_kicks=(5, n_kicks))
+        rec = evolve_density(rho0, flo, eta, n_kicks, checkpoint_kicks=(0, 5, n_kicks))
         u, m = flo.matrix, rho0.matrix
+        # Kick 0 is read from the parity frames like every other kick.
+        assert np.abs(rec.populations[0] - np.real(np.diag(m))).max() < 1e-15
+        assert np.abs(rec.checkpoints[0].matrix - m).max() < 1e-15
         for kick in range(1, n_kicks + 1):
             m = dense_channel(u @ m @ u.conj().T, eta)
             assert np.abs(rec.populations[kick] - np.real(np.diag(m))).max() < 1e-12

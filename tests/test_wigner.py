@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from cantori import (
-    DensityMatrix,
+from cantori.model import ParameterError
+from cantori.quantum import DensityMatrix
+from cantori.wigner import (
     WignerGrid,
+    coarse_axes,
     coarse_grain,
+    coarse_negativity,
     coarse_wigner,
     negativity_volume,
     toroidal_wigner,
 )
-from cantori.model import ParameterError
-from cantori.wigner import coarse_axes, coarse_negativity
 
 from test_quantum import apply_decoherence
 
