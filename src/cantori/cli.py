@@ -101,7 +101,6 @@ class RunConfig:
     output_dir: str
     params: SimParams
     extra: dict = field(default_factory=dict)       # scenario-section options, as written
-    physical: PhysicalParams | None = None
 
     def option(self, name: str):
         """Parsed value of a scenario option, or of its fallback."""
@@ -234,7 +233,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown scenario {scenario!r}; known: {', '.join(sorted(SCENARIOS))}")
     output_dir = cp["run"].get("output_dir", "runs").strip()
 
-    physical = None
     values = {"kick_strength": 270.0, "scaled_planck": 2.6, **_read_fields(cp, "params", SimParams)}
     if "physical" in cp:
         try:
@@ -247,7 +245,7 @@ def parse_config(text: str) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(f"[params]: {exc}") from None
 
-    cfg = RunConfig(scenario, output_dir, params, dict(cp[scenario]) if scenario in cp else {}, physical)
+    cfg = RunConfig(scenario, output_dir, params, dict(cp[scenario]) if scenario in cp else {})
     for name in SCENARIOS[scenario].options:
         cfg.option(name)
     # Beyond the last ladder site the quantum fraction outside reads 0 by construction.
@@ -286,8 +284,13 @@ def _templates(blocks: list[str], block_rows: int) -> list[tuple[int, str]]:
 
 
 def _write_rows(outdir: Path, name: str, templates: list[tuple[int, str]], data, header: str, files: dict) -> None:
-    """Write "# "-prefixed header lines, then each template % its own row count of the next rows of data."""
+    """Write "# "-prefixed header lines, then each template % its own row count of the next rows of data.
+
+    Refuses data holding a NaN or an infinity before writing anything.
+    """
     data = np.asarray(data)
+    if not np.isfinite(data).all():
+        raise classical.NumericalDomainError(f"{name}: non-finite values in the data")
 
     def parts():
         if header:

@@ -19,12 +19,14 @@ orthonormal states (e_i +- e_(N-i))/sqrt(2).  The even sector holds e_0, the
 N/2 - 1 symmetric pair states and e_(N/2); the odd sector the N/2 - 1
 antisymmetric ones.  _fold takes a matrix into its parity blocks, held in
 (N/2 + 1)^2 frames, with four slice sums; _unfold takes them back.  The
-Floquet operator is built block by block in these sectors.  evolve_density
-keeps rho in its parity frames from the first kick to the last: it conjugates
-each frame separately, a quarter of the dense N^3 work when the state has no
-even-odd coherence (every thermal state), applies the channel to the frames
-directly, reads the populations from their diagonals, and returns to the
-momentum basis only for the checkpoints.  After each kick the frame entries
+Floquet operator is built block by block in these sectors and holds only its
+two parity frames, prepared once for the kick loop; it refuses an operator
+that mixes the sectors when it is built.  evolve_density keeps rho in its
+parity frames from the first kick to the last: it conjugates each frame
+separately, a quarter of the dense N^3 work when the state has no even-odd
+coherence (every thermal state), applies the channel to the frames directly,
+reads the populations from their diagonals, and returns to the momentum basis
+only for the checkpoints.  After each kick the frame entries
 below eps^2 are flushed to zero, a cut that keeps the whole evolution within
 about 1e-24 of the unflushed one at N = 512 (see _FLUSH_BELOW).  Of each
 kick's product only the rows and columns from an index rr on are computed: a
@@ -108,15 +110,36 @@ class DensityMatrix:
         return cls(np.diag(w / w.sum()).astype(complex))
 
 
-@dataclass
 class FloquetOperator:
-    """Single-cycle unitary in the momentum eigenbasis."""
+    """Single-cycle unitary U in the momentum eigenbasis, held as the two
+    parity frames (ee, oo) that evolve_density multiplies by.
 
-    matrix: np.ndarray
+    The N x N matrix is folded once, here (see _fold).  An operator whose
+    even-odd frames are not zero mixes the parity sectors, which the frame
+    evolution cannot represent, and is refused.  The frames are then flushed
+    below _FLUSH_BELOW, and their fixed-point columns halved: U's frames carry
+    sqrt(2) on the fixed-point rows and columns, as rho's do, and in the
+    product U rho U^dag the columns must lose it.  Only the frames are kept;
+    .matrix rebuilds the dense U from them.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        ee, oo, eo, oe = _fold(matrix)
+        leak = max(np.abs(eo).max(), np.abs(oe).max())
+        if leak > UNITARITY_TOL:
+            raise ParameterError(f"Floquet operator breaks momentum parity: even-odd block entry {leak:.3e}")
+        self.size = len(matrix)
+        for f in (ee, oo):
+            _flush_tiny(f)
+            f[:, [0, self.size // 2]] *= 0.5
+        self.frames = (ee, oo)
 
     @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        """The dense U, fixed-point columns doubled back."""
+        twos = np.ones(self.size // 2 + 1)
+        twos[[0, -1]] = 2.0
+        return _unfold([f * twos for f in self.frames])
 
     def unitarity_defect(self) -> float:
         u = self.matrix
@@ -348,9 +371,10 @@ def evolve_density(
     """Apply n_kicks of (unitary cycle, then decoherence channel).
 
     rho stays in its parity frames (see _fold): the cycle conjugates each
-    frame, the channel acts on the frames, and the populations are read from
-    their diagonals; the frames are unfolded into the momentum basis only at
-    the requested checkpoints.  The even-odd frames are evolved only when
+    frame by the operator's prepared frames (see FloquetOperator), the channel
+    acts on the frames, and the populations are read from their diagonals;
+    the frames are unfolded into the momentum basis only at the requested
+    checkpoints.  The even-odd frames are evolved only when
     rho0 has any, since neither the cycle nor the channel creates them.
 
     Each kick works on the trailing [w:, w:] window of the frames, outside
@@ -376,28 +400,19 @@ def evolve_density(
     outside = [c for c in checkpoint_kicks if not 0 <= c <= n_kicks]
     if outside:
         raise ParameterError(f"checkpoint kicks {outside} lie outside [0, {n_kicks}]")
-    ua, ub, ueo, uoe = _fold(floquet.matrix)
-    leak = max(np.abs(ueo).max(), np.abs(uoe).max())
-    if leak > UNITARITY_TOL:
-        raise ParameterError(f"Floquet operator breaks momentum parity: even-odd block entry {leak:.3e}")
     h = floquet.size // 2
-    # U's frames carry sqrt(2) on the fixed-point rows and columns, as rho's
-    # do; in the product U rho U^dag the columns must lose it instead.
-    _flush_tiny(ua)
-    _flush_tiny(ub)
-    ua[:, [0, h]] *= 0.5
-    ub[:, [0, h]] *= 0.5
+    ua, ub = floquet.frames
     abs_a, abs_b = np.abs(ua), np.abs(ub)
     top = max(abs_a.max(), abs_b.max())
     abs_a *= top
     abs_b *= top
+    dag_a, dag_b = ua.conj().T, ub.conj().T
     frames = _fold(rho0.matrix)
-    factors = [(ua, ua.conj().T, abs_a, abs_a.T), (ub, ub.conj().T, abs_b, abs_b.T)]
     cross = bool(np.any(frames[2]) or np.any(frames[3]))
-    if cross:
-        factors += [(ua, ub.conj().T, abs_a, abs_b.T), (ub, ua.conj().T, abs_b, abs_a.T)]
-    else:
+    if not cross:
         del frames[2:]
+    factors = [(ua, dag_a, abs_a, abs_a.T), (ub, dag_b, abs_b, abs_b.T),
+               (ua, dag_b, abs_a, abs_b.T), (ub, dag_a, abs_b, abs_a.T)][:len(frames)]
     pops = np.empty((n_kicks + 1, 2 * h))
     checks = {}
     w = 0

@@ -344,6 +344,32 @@ class TestMain:
         assert "compute failed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize(
+        "scenario,old,new,name",
+        [
+            ("waterfall", "init_momentum_sigma = 10.0", "init_momentum_sigma = 1e-200", "waterfall.dat"),
+            ("waterfall", "scaled_planck = 2.6", "scaled_planck = 5e-324", "waterfall.dat"),
+            ("wigner", "kick_strength = 270", "kick_strength = 1e308", "wigner_eta_0_kick_3.dat"),
+        ],
+        ids=["sigma-underflow", "planck-subnormal", "kick-overflow"],
+    )
+    def test_non_finite_data_is_compute_failure(self, tmp_path, capsys, scenario, old, new, name):
+        """Configs that validate but evolve into NaN or inf: the writer refuses the data."""
+        text = (
+            DEFAULT_CONFIG.replace("scenario = transport", f"scenario = {scenario}")
+            .replace("output_dir = runs", f"output_dir = {tmp_path / 'runs'}")
+            .replace("basis_size = 128", "basis_size = 16")
+            .replace("n_kicks = 50", "n_kicks = 3")
+            .replace("checkpoint_kicks = 70", "checkpoint_kicks = 3")
+            .replace(old, new)
+        )
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 3
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"error: compute failed in scenario {scenario}: {name}: non-finite values in the data"
+        assert list((tmp_path / "runs").iterdir()) == []
+
     def test_existing_run_directory_is_io_error(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "c.ini"
         path.write_text(TINY.format(out=tmp_path / "runs"))

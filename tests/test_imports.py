@@ -1,15 +1,17 @@
 """Imports: every name a module of cantori imports is used there, every
-private name it defines is used there, and SciPy loads only with the
-elliptic classical backend.
+private name it defines is used there, every dataclass field is read
+somewhere, and SciPy loads only with the elliptic classical backend.
 
-No linter runs on this code, so two tests stand in for one.  The first
+No linter runs on this code, so three tests stand in for one.  The first
 reads the syntax tree of each module and of each test file, collects the
 names its import statements bind, and fails on any that no expression
 loads.  It covers __init__.py too: the package re-exports nothing, so each
 name is imported from the module that defines it.  The second fails on any
 top-level private function, class or variable of a module that the module
-itself never loads.  The SciPy checks run in a fresh interpreter each, since
-this one has imported SciPy long before.
+itself never loads.  The third fails on any annotated field of a dataclass
+in cantori whose name no attribute access in src/, tests/ or perfbench/
+loads.  The SciPy checks run in a fresh interpreter each, since this one has
+imported SciPy long before.
 """
 
 import ast
@@ -23,6 +25,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "cantori"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 @pytest.mark.parametrize(
@@ -59,6 +62,26 @@ def test_no_unused_private_names(path):
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unused = {name: line for name, line in private.items() if name not in loaded}
     assert not unused, f"{path.name} defines private names it never uses (name: line): {unused}"
+
+
+def test_every_dataclass_field_is_read():
+    """Every annotated field of a cantori dataclass is loaded as an attribute somewhere."""
+    read = set()
+    for path in [*SRC.glob("*.py"), *TESTS.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0].split(".")[-1] == "dataclass" for d in cls.decorator_list
+            ):
+                unread += [
+                    f"{path.name}:{item.lineno} {cls.name}.{item.target.id}"
+                    for item in cls.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.target.id not in read
+                ]
+    assert not unread, f"dataclass fields that nothing reads: {unread}"
 
 
 def run_fresh(script: str, *args: str) -> str:

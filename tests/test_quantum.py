@@ -474,7 +474,6 @@ class TestParityBlocks:
         against a 1e-90 flush over the paper's 70 kicks, and its kicks compute
         fewer product rows."""
         rho0 = DensityMatrix.thermal(N, 2.6, 10.0)
-        flo = build_floquet(N, 270.0, 2.6, paper_train)
         bound = quantum._surviving_from
         runs = []
         for cut in (quantum._FLUSH_BELOW, 1e-90):
@@ -487,6 +486,8 @@ class TestParityBlocks:
 
             monkeypatch.setattr(quantum, "_FLUSH_BELOW", cut)
             monkeypatch.setattr(quantum, "_surviving_from", counted)
+            # The operator flushes its frames at the cut in force when it is built.
+            flo = build_floquet(N, 270.0, 2.6, paper_train)
             runs.append((evolve_density(rho0, flo, eta, 70, checkpoint_kicks=(35, 70)), sum(rows)))
         (rec, rows), (ref, ref_rows) = runs
         assert np.abs(rec.populations - ref.populations).max() < 1e-15
@@ -512,10 +513,24 @@ class TestParityBlocks:
         ids=["diagonal-phases", "ladder-shift"],
     )
     def test_rejects_parity_breaking_operator(self, u):
-        flo = FloquetOperator(u.astype(complex))
-        assert flo.unitarity_defect() < 1e-15
+        """A unitary that mixes even and odd states is refused when the operator is built."""
+        u = u.astype(complex)
+        assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-15
         with pytest.raises(ParameterError, match="parity"):
-            evolve_density(DensityMatrix.pure(8, 0), flo, 0.0, 1)
+            FloquetOperator(u)
+
+    def test_shared_operator_is_not_written(self, paper_train):
+        """One operator serves an eta sweep in any order: each record is bitwise
+        the record of a freshly built operator, so evolve_density never writes
+        into the operator's frames."""
+        rho0 = DensityMatrix.thermal(256, 2.6, 10.0)
+        shared = build_floquet(256, 270.0, 2.6, paper_train)
+        for eta in (0.0503, 0.0, 0.0187):
+            rec = evolve_density(rho0, shared, eta, 70, checkpoint_kicks=(35, 70))
+            ref = evolve_density(rho0, build_floquet(256, 270.0, 2.6, paper_train), eta, 70, checkpoint_kicks=(35, 70))
+            assert np.array_equal(rec.populations, ref.populations)
+            for kick in (35, 70):
+                assert np.array_equal(rec.checkpoints[kick].matrix, ref.checkpoints[kick].matrix)
 
     @pytest.mark.parametrize("N", [2, 4, 16])
     def test_channel_matches_roll(self, N):
