@@ -245,11 +245,18 @@ def parse_config(text: str) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(f"[params]: {exc}") from None
 
+    edge, sigma = params.basis_size / 2 * params.scaled_planck, params.init_momentum_sigma
+    with np.errstate(all="ignore"):
+        if not np.isfinite(np.float64(edge) ** 2):
+            raise ConfigError(f"[params] (basis_size/2 * scaled_planck)^2 is not finite: edge momentum {edge:g}")
+        weight = quantum.thermal_weights(params.basis_size, params.scaled_planck, sigma).sum()
+        if sigma and not 0 < weight < np.inf:
+            raise ConfigError(f"[params] init_momentum_sigma = {sigma:g}: its thermal weights are not finite")
+
     cfg = RunConfig(scenario, output_dir, params, dict(cp[scenario]) if scenario in cp else {})
     for name in SCENARIOS[scenario].options:
         cfg.option(name)
     # Beyond the last ladder site the quantum fraction outside reads 0 by construction.
-    edge = params.basis_size / 2 * params.scaled_planck
     if scenario == "transport" and cfg.option("boundary_over_pi") * np.pi >= edge:
         raise ConfigError(f"[transport] boundary_over_pi: boundary at or beyond the ladder edge {edge:.6g}")
     return cfg
@@ -283,14 +290,19 @@ def _templates(blocks: list[str], block_rows: int) -> list[tuple[int, str]]:
     return [(block_rows * len(chunk), "".join(chunk)[1:] + "\n") for chunk in chunks]
 
 
+def _check_finite(name: str, data) -> None:
+    """Refuse data for the output file name that holds a NaN or an infinity."""
+    if not np.isfinite(data).all():
+        raise classical.NumericalDomainError(f"{name}: non-finite values in the data")
+
+
 def _write_rows(outdir: Path, name: str, templates: list[tuple[int, str]], data, header: str, files: dict) -> None:
     """Write "# "-prefixed header lines, then each template % its own row count of the next rows of data.
 
-    Refuses data holding a NaN or an infinity before writing anything.
+    Refuses data holding a NaN or an infinity before writing anything (see _check_finite).
     """
     data = np.asarray(data)
-    if not np.isfinite(data).all():
-        raise classical.NumericalDomainError(f"{name}: non-finite values in the data")
+    _check_finite(name, data)
 
     def parts():
         if header:
@@ -401,7 +413,9 @@ def _scenario_wigner(cfg: RunConfig, outdir: Path, files: dict) -> None:
                 f"coarse toroidal Wigner function, k={p.kick_strength}, eta={eta:g}, kick={kick}\nX P w",
                 files,
             )
-            summary.append(f"{eta:g} {kick} {wigner.coarse_negativity(coarse, p.scaled_planck):.10g} {name}")
+            negativity = wigner.coarse_negativity(coarse, p.scaled_planck)
+            _check_finite("negativity.dat", negativity)
+            summary.append(f"{eta:g} {kick} {negativity:.10g} {name}")
     _write_text(outdir, "negativity.dat", "\n".join(summary) + "\n", files)
 
 
@@ -416,11 +430,13 @@ def _scenario_flux(cfg: RunConfig, outdir: Path, files: dict) -> None:
         n_replicates=cfg.option("n_replicates"),
         rng_seed=p.rng_seed,
     )
+    ratio = est.flux / p.scaled_planck
+    _check_finite("flux.dat", [est.flux, est.stderr, ratio, *est.samples])
     text = (
         f"# phase-space flux through |rho|={boundary:.6g} per kick cycle, k={p.kick_strength}\n"
         f"flux {est.flux:.10g}\n"
         f"stderr {est.stderr:.10g}\n"
-        f"flux_over_hbar_k {est.flux / p.scaled_planck:.10g}\n"
+        f"flux_over_hbar_k {ratio:.10g}\n"
         f"n_crossings {est.n_crossings}\n"
         "# per-replicate samples (out, in alternating)\n"
         + "\n".join(f"sample {s:.10g}" for s in est.samples) + "\n"

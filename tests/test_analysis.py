@@ -19,7 +19,7 @@ from cantori.model import ParameterError, SimParams
 
 def fraction_outside_classical(ensemble, boundary):
     """Fraction of trajectories with |rho| beyond the boundary."""
-    if len(ensemble) == 0:
+    if ensemble.phi.size == 0:
         raise ParameterError("empty ensemble")
     return float(np.mean(np.abs(ensemble.rho) > boundary))
 

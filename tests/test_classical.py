@@ -1,5 +1,6 @@
 import inspect
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from cantori.classical import (
     poincare_section,
     thermal_ensemble,
 )
-from cantori.model import ParameterError, SimParams
+from cantori.model import ParameterError, SimParams, build_pulse_train
 
 TWO_PI = 2 * np.pi
 
@@ -162,6 +163,20 @@ class TestEnsemble:
         assert np.max(circular_diff(p2, np.mod(-p1, TWO_PI))) < 1e-7
         assert np.max(np.abs(r1 + r2)) < 1e-7
 
+    @pytest.mark.parametrize("method", ["elliptic", "symplectic"])
+    def test_kick_cycle_is_its_segment_calls(self, paper_train, method):
+        """One cycle is the public segment calls in schedule order, bit for bit;
+        phi outside [0, 2*pi) is not wrapped before the first segment."""
+        rng = np.random.default_rng(17)
+        phi, rho = rng.uniform(-20.0, 20.0, 1000), rng.uniform(-40.0, 40.0, 1000)
+        p, r = kick_cycle(phi, rho, 270.0, paper_train, method=method)
+        for dur, driven in paper_train.segments:
+            if driven:
+                phi, rho = pendulum_segment(phi, rho, 270.0, float(dur), method=method)
+            else:
+                phi, rho = drift_segment(phi, rho, float(dur))
+        assert np.array_equal(p, phi) and np.array_equal(r, rho)
+
     def test_kam_confinement_short(self, paper_train):
         # Quick version of the unbroken-torus check; the full 10^3-kick run
         # lives in the acceptance suite.
@@ -286,15 +301,18 @@ class TestSegmentInput:
             pendulum_segment(np.zeros(4), np.ones(5), 10.0, 0.1)
 
 
-def separatrix_seeded(n, k, seed):
-    """Random band states with every 500th trajectory within 1e-12 of its separatrix."""
+def separatrix_seeded(n, k, seed, lead=0.0):
+    """Random band states with every 500th trajectory within 1e-12 of its
+    separatrix once a leading drift of duration lead has run."""
     rng = np.random.default_rng(seed)
     phi, rho = random_band_states(rng, n)
     idx = np.arange(0, n, 500)
     phin = np.mod(phi[idx] + np.pi, TWO_PI) - np.pi
     sign = np.where(rng.uniform(size=idx.size) < 0.5, -1.0, 1.0)
     rho[idx] = sign * np.sqrt(2.0 * k * (1.0 + np.cos(phin))) * (1.0 + 1e-12 * rng.uniform(-1, 1, idx.size))
-    energy = 0.5 * rho[idx] ** 2 - k * np.cos(phin)
+    phi[idx] = np.mod(phin - rho[idx] * lead, TWO_PI)
+    at_pulse = np.mod(phi[idx] + rho[idx] * lead, TWO_PI)
+    energy = 0.5 * rho[idx] ** 2 - k * np.cos(at_pulse)
     assert np.all(np.abs((energy + k) / (2.0 * k) - 1.0) < 1e-9)
     return phi, rho
 
@@ -306,10 +324,16 @@ def single_call(phi, rho, k, duration, method):
     return np.mod(p, TWO_PI), r
 
 
-class TestCoreSplit:
-    """The core split returns the bytes of one kernel call.
+# One pulse of width 1/10 between two dark segments of 0.45: one pendulum segment per cycle.
+ONE_PULSE = build_pulse_train(Fraction(1, 20), Fraction(1, 20))
 
-    Blocks hold at least 2731 trajectories (8193 in three), so every block
+
+class TestCoreSplit:
+    """The run-level split returns the bytes of an inline run.
+
+    Runs of more than 8192 trajectories are cut once into blocks, and each
+    block runs every kick cycle on a pool worker.  Blocks hold at least 2731
+    trajectories (8193 in three), so with separatrix_seeded every block
     carries near-separatrix seeds and runs the substep fallback on a worker.
     """
 
@@ -317,19 +341,50 @@ class TestCoreSplit:
     @pytest.mark.parametrize("k", [270.0], ids=["scalar-k"])
     @pytest.mark.parametrize("method", ["elliptic", "symplectic"])
     def test_bitwise_equal_to_one_call(self, monkeypatch, n, k, method):
+        """kick_cycle on two workers equals one kernel call per segment on the whole ensemble."""
         monkeypatch.setattr(classical, "_WORKERS", 2)
-        phi, rho = separatrix_seeded(n, k, n)
-        p, r = pendulum_segment(phi, rho, k, 1 / 20, method=method)
-        p1, r1 = single_call(phi, rho, k, 1 / 20, method)
+        (lead, _), (pulse, _), (tail, _) = ONE_PULSE.segments
+        phi, rho = separatrix_seeded(n, k, n, float(lead))
+        p, r = kick_cycle(phi, rho, k, ONE_PULSE, method=method)
+        p1, r1 = single_call(np.mod(phi + rho * float(lead), TWO_PI), rho, k, float(pulse), method)
+        p1 = np.mod(p1 + r1 * float(tail), TWO_PI)
         assert np.array_equal(p, p1) and np.array_equal(r, r1)
 
-    def test_worker_count_does_not_change_output(self, monkeypatch):
-        phi, rho = separatrix_seeded(100_000, 270.0, 1)
+    def test_worker_count_does_not_change_output(self, monkeypatch, paper_train):
+        """evolve_ensemble (both backends, on the one-pulse train to keep the
+        symplectic cost down), kick_cycle and cantorus_flux give the same bytes
+        on 1, 2 and 3 workers."""
+        lead = float(ONE_PULSE.segments[0][0])
+        states = {n: separatrix_seeded(n, 270.0, n, lead) for n in (8192, 8193, 10_000)}
+        p = SimParams(kick_strength=270.0, scaled_planck=2.6)
         outputs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(classical, "_WORKERS", workers)
-            outputs.append(np.concatenate(pendulum_segment(phi, rho, 270.0, 1 / 20, method="elliptic")))
-        assert all(o.tobytes() == outputs[0].tobytes() for o in outputs[1:])
+            out = []
+            for method, n_kicks in (("elliptic", 3), ("symplectic", 1)):
+                for phi, rho in states.values():
+                    rec = evolve_ensemble(ClassicalEnsemble(phi, rho), p, ONE_PULSE, n_kicks, method=method)
+                    out += [rec.phi, rec.rho]
+            out += kick_cycle(*states[10_000], 270.0, paper_train, method="elliptic")
+            out.append(cantorus_flux(280.0, paper_train, 10 * np.pi, n_seeds=20_000, n_replicates=2).samples)
+            outputs.append(b"".join(np.ascontiguousarray(o).tobytes() for o in out))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_separatrix_fallback_runs_on_the_workers(self, monkeypatch, paper_train):
+        monkeypatch.setattr(classical, "_WORKERS", 3)
+        kernel, calls = classical._pendulum_symplectic, []
+
+        def recording(phi, *args):
+            calls.append((threading.current_thread(), len(phi)))
+            return kernel(phi, *args)
+
+        monkeypatch.setattr(classical, "_pendulum_symplectic", recording)
+        phi, rho = separatrix_seeded(8193, 270.0, 8193, float(paper_train.segments[0][0]))
+        kick_cycle(phi, rho, 270.0, paper_train, method="elliptic")
+        threads = {thread for thread, _ in calls}
+        assert threading.main_thread() not in threads
+        # All 17 seeds enter the first pulse on the separatrix, at least 5 in each of the 3 blocks.
+        assert sum(size for _, size in calls) >= 17 and len(calls) >= 3
 
     @pytest.mark.parametrize("method", ["elliptic", "symplectic"])
     def test_public_functions_stay_on_calling_thread(self, monkeypatch, paper_train, method):
@@ -349,10 +404,38 @@ class TestCoreSplit:
         for name in public + ["_pendulum_elliptic", "_pendulum_symplectic"]:
             monkeypatch.setattr(classical, name, recording(name, getattr(classical, name)))
         phi, rho = random_band_states(np.random.default_rng(5), 20_000)
-        classical.kick_cycle(phi, rho, 270.0, paper_train, method=method)
+        p = SimParams(kick_strength=270.0, scaled_planck=2.6)
+        classical.evolve_ensemble(ClassicalEnsemble(phi, rho), p, paper_train, 1, method=method)
+        classical.cantorus_flux(270.0, paper_train, 10 * np.pi, n_seeds=20_000, n_replicates=1)
 
         main = threading.main_thread()
         names = {name for name, _ in calls}
-        assert {"kick_cycle", "pendulum_segment", "drift_segment"} <= names
+        # The runner makes no public segment calls.
+        assert {"evolve_ensemble", "cantorus_flux", "kick_cycle"} <= names
+        assert not names & {"pendulum_segment", "drift_segment"}
         assert all(thread is main for name, thread in calls if name in public)
-        assert any(thread is not main for name, thread in calls if name not in public)
+        assert all(thread is not main for name, thread in calls if name not in public)
+
+    def test_non_finite_state_on_a_worker_raises_in_the_caller(self, monkeypatch, paper_train):
+        """A NaN that a block's kernel returns mid-run fails the finiteness check
+        before that block's next pulse; the caller raises once every block is done."""
+        monkeypatch.setattr(classical, "_WORKERS", 2)
+        kernel, lock, threads = classical._pendulum_elliptic, threading.Lock(), []
+
+        def poisoned(*args):
+            phi, rho = kernel(*args)
+            with lock:
+                threads.append(threading.current_thread())
+                if len(threads) == 5:
+                    rho[0] = np.nan
+            return phi, rho
+
+        monkeypatch.setattr(classical, "_pendulum_elliptic", poisoned)
+        phi, rho = random_band_states(np.random.default_rng(9), 20_000)
+        p = SimParams(kick_strength=270.0, scaled_planck=2.6)
+        with pytest.raises(NumericalDomainError, match="non-finite phase-space input"):
+            evolve_ensemble(ClassicalEnsemble(phi, rho), p, paper_train, 10, method="elliptic")
+        assert threading.main_thread() not in threads
+        # Four blocks of 5000: the poisoned block stops at its next pulse, after
+        # at most 5 kernel calls, and the other three run all 20 of theirs.
+        assert 3 * 20 < len(threads) <= 3 * 20 + 5

@@ -20,6 +20,7 @@ from cantori.cli import (
     parse_config,
     run_scenario,
 )
+from cantori.classical import FluxEstimate
 from cantori.model import SimParams
 
 TINY = """\
@@ -344,17 +345,9 @@ class TestMain:
         assert "compute failed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize(
-        "scenario,old,new,name",
-        [
-            ("waterfall", "init_momentum_sigma = 10.0", "init_momentum_sigma = 1e-200", "waterfall.dat"),
-            ("waterfall", "scaled_planck = 2.6", "scaled_planck = 5e-324", "waterfall.dat"),
-            ("wigner", "kick_strength = 270", "kick_strength = 1e308", "wigner_eta_0_kick_3.dat"),
-        ],
-        ids=["sigma-underflow", "planck-subnormal", "kick-overflow"],
-    )
-    def test_non_finite_data_is_compute_failure(self, tmp_path, capsys, scenario, old, new, name):
-        """Configs that validate but evolve into NaN or inf: the writer refuses the data."""
+    @staticmethod
+    def small_config(tmp_path, scenario, old="", new=""):
+        """DEFAULT_CONFIG for scenario at N = 16 and 3 kicks, with old replaced by new; returns its path."""
         text = (
             DEFAULT_CONFIG.replace("scenario = transport", f"scenario = {scenario}")
             .replace("output_dir = runs", f"output_dir = {tmp_path / 'runs'}")
@@ -365,9 +358,75 @@ class TestMain:
         )
         path = tmp_path / "c.ini"
         path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize(
+        "scenario,old,new,validate,last",
+        [
+            ("waterfall", "init_momentum_sigma = 10.0", "init_momentum_sigma = 1e-200", 2,
+             "error: invalid config: [params] init_momentum_sigma = 1e-200: its thermal weights are not finite"),
+            ("waterfall", "scaled_planck = 2.6", "scaled_planck = 5e-324", 0,
+             "error: invalid config: Floquet operator is not finite: its parity frames hold NaN or inf"),
+            ("wigner", "kick_strength = 270", "kick_strength = 1e308", 0,
+             "error: invalid config: Floquet operator is not finite: its parity frames hold NaN or inf"),
+            ("wigner", "scaled_planck = 2.6", "scaled_planck = 1e308", 2,
+             "error: invalid config: [params] (basis_size/2 * scaled_planck)^2 is not finite: edge momentum inf"),
+            ("waterfall", "init_momentum_sigma = 10.0", "init_momentum_sigma = 1e300", 0, None),
+        ],
+        ids=["sigma-underflow", "planck-subnormal", "kick-overflow", "planck-overflow", "sigma-overflow"],
+    )
+    def test_extreme_values_end_cleanly(self, tmp_path, capsys, scenario, old, new, validate, last):
+        """Configs that once ran into NaN data or an OverflowError.  Each is refused
+        with exit 2 (at validate, or where the Floquet operator is built) and no
+        run directory, or runs to finite data: sigma = 1e300 squares to inf and
+        gives the uniform mixture."""
+        path = self.small_config(tmp_path, scenario, old, new)
+        assert main(["validate", str(path)]) == validate
+        capsys.readouterr()
+        if last is None:
+            assert main(["run", str(path)]) == 0
+            assert capsys.readouterr().err == ""
+            (run,) = (tmp_path / "runs").iterdir()
+            pops = np.loadtxt(run / "waterfall.dat")[:, 2]
+            np.testing.assert_allclose(pops, 1 / 16, rtol=1e-12)
+            return
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == last
+        assert not (tmp_path / "runs").exists() or list((tmp_path / "runs").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "scenario,target,bad,name",
+        [
+            ("wigner", wigner, ("coarse_negativity", lambda coarse, hbar: float("nan")), "negativity.dat"),
+            ("flux", cli.classical, ("cantorus_flux", lambda *args, **kwargs: FluxEstimate(
+                1.0, float("inf"), 200, np.ones(16))), "flux.dat"),
+        ],
+        ids=["negativity", "flux"],
+    )
+    def test_hand_built_outputs_refuse_non_finite(self, tmp_path, capsys, monkeypatch, scenario, target, bad, name):
+        """The text files built without the row writer get its non-finite refusal too."""
+        monkeypatch.setattr(target, *bad)
+        path = self.small_config(tmp_path, scenario)
         assert main(["run", str(path)]) == 3
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == f"error: compute failed in scenario {scenario}: {name}: non-finite values in the data"
+        assert list((tmp_path / "runs").iterdir()) == []
+
+    def test_non_finite_state_on_a_worker_is_compute_failure(self, tmp_path, capsys, monkeypatch):
+        """A NaN that the elliptic kernel returns on a pool worker stops the run with exit 3."""
+        monkeypatch.setattr(cli.classical, "_WORKERS", 2)
+        kernel = cli.classical._pendulum_elliptic
+
+        def poisoned(*args):
+            phi, rho = kernel(*args)
+            rho[-1] = np.nan
+            return phi, rho
+
+        monkeypatch.setattr(cli.classical, "_pendulum_elliptic", poisoned)
+        path = self.small_config(tmp_path, "poincare", "n_seeds = 60", "n_seeds = 10000")
+        assert main(["run", str(path)]) == 3
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "error: compute failed in scenario poincare: non-finite phase-space input"
         assert list((tmp_path / "runs").iterdir()) == []
 
     def test_existing_run_directory_is_io_error(self, tmp_path, capsys, monkeypatch):

@@ -122,7 +122,7 @@ def test_quantum_scenarios_never_load_scipy(tmp_path):
 
 def test_first_elliptic_call_on_pool_workers():
     """SciPy's first import happens inside the kernel on the pool's workers,
-    and the split result is the bytes of one inline kernel call."""
+    and the split run gives the bytes of an inline one."""
     out = run_fresh("""
         import sys
         import threading
@@ -130,6 +130,7 @@ def test_first_elliptic_call_on_pool_workers():
         import numpy as np
 
         from cantori import classical
+        from cantori.model import SimParams
 
         class Watch:
             # Records the thread that looks scipy.special up; finds nothing itself.
@@ -141,14 +142,14 @@ def test_first_elliptic_call_on_pool_workers():
 
         assert "scipy.special" not in sys.modules
         sys.meta_path.insert(0, Watch())
-        classical._WORKERS = 2
-        rng = np.random.default_rng(11)
-        phi = rng.uniform(0.0, 2.0 * np.pi, 20_000)
-        rho = rng.normal(0.0, 10.0, 20_000)
-        p, r = classical.pendulum_segment(phi, rho, 270.0, 1 / 20, method="elliptic")
-        p1, r1 = classical._pendulum_elliptic(phi, rho, 270.0, 1 / 20)
-        assert np.array_equal(p, p1) and np.array_equal(r, r1)
-        assert Watch.threads and Watch.threads[0].startswith("cantori-pendulum"), Watch.threads
+        params = SimParams(kick_strength=270.0, scaled_planck=2.6, n_trajectories=20_000, rng_seed=11)
+        ensemble = classical.thermal_ensemble(params)
+        records = []
+        for workers in (2, 1):
+            classical._WORKERS = workers
+            records.append(classical.evolve_ensemble(ensemble, params, n_kicks=2, method="elliptic"))
+        assert np.array_equal(records[0].phi, records[1].phi) and np.array_equal(records[0].rho, records[1].rho)
+        assert Watch.threads and Watch.threads[0].startswith("cantori-kicks"), Watch.threads
         print("equal")
     """)
     assert out.splitlines()[-1] == "equal"

@@ -10,7 +10,8 @@ checked against the dense orthogonal parity transform, the evolution in
 parity frames against a dense U rho U^dag loop, and the channel on the frames
 against np.roll.  The rows a kick skips by its bound are checked against the
 kick that computes them all and then flushes, and the eps^2 flush against a
-1e-90 one.
+1e-90 one.  validate, purity and from_state, the density-matrix checks and
+the pure-state constructor the tests use, are defined here too.
 """
 
 from fractions import Fraction
@@ -22,6 +23,7 @@ import scipy.linalg
 from cantori import quantum
 from cantori.model import ParameterError, PulseTrain
 from cantori.quantum import (
+    TRACE_TOL,
     UNITARITY_TOL,
     DensityMatrix,
     FloquetOperator,
@@ -35,6 +37,34 @@ from cantori.quantum import (
     evolve_density,
     momentum_ladder,
 )
+
+HERMITICITY_TOL = 1e-12
+POSITIVITY_TOL = 1e-10
+
+
+def validate(rho: DensityMatrix) -> None:
+    """Raise ParameterError unless rho is Hermitian, of unit trace and positive semidefinite."""
+    m = rho.matrix
+    herm = np.abs(m - m.conj().T).max()
+    if herm > HERMITICITY_TOL:
+        raise ParameterError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
+    tr = np.trace(m)
+    if abs(tr - 1.0) > TRACE_TOL * 10:
+        raise ParameterError(f"trace = {tr}, expected 1")
+    lo = np.linalg.eigvalsh(m).min()
+    if lo < -POSITIVITY_TOL:
+        raise ParameterError(f"negative eigenvalue {lo:.3e}")
+
+
+def purity(rho: DensityMatrix) -> float:
+    return float(np.real(np.trace(rho.matrix @ rho.matrix)))
+
+
+def from_state(psi) -> DensityMatrix:
+    """|psi><psi| of the normalised state vector psi."""
+    psi = np.asarray(psi, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    return DensityMatrix(np.outer(psi, psi.conj()))
 
 
 def split_step_floquet(N, k, hbar_k, train, substeps=200):
@@ -168,24 +198,24 @@ class TestDarkFactors:
 class TestDensityMatrix:
     def test_pure_and_mixed(self):
         rho = DensityMatrix.pure(8, -2)
-        rho.validate()
-        assert rho.purity() == pytest.approx(1.0)
+        validate(rho)
+        assert purity(rho) == pytest.approx(1.0)
         assert np.real(np.diag(rho.matrix))[2] == 1.0
         mm = DensityMatrix(np.eye(8) / 8)
-        mm.validate()
-        assert mm.purity() == pytest.approx(1.0 / 8)
+        validate(mm)
+        assert purity(mm) == pytest.approx(1.0 / 8)
 
     def test_thermal_moments(self):
         N, hbar_k, sigma = 128, 2.6, 10.0
         rho = DensityMatrix.thermal(N, hbar_k, sigma)
-        rho.validate()
+        validate(rho)
         n = momentum_ladder(N)
         p = np.real(np.diag(rho.matrix))
         assert p @ (n * hbar_k) == pytest.approx(0.0, abs=1e-6)
         assert p @ (n * hbar_k) ** 2.0 == pytest.approx(sigma**2, rel=1e-3)
 
     def test_from_state_normalises(self):
-        rho = DensityMatrix.from_state(np.array([3.0, 0.0, 0.0, 4.0]))
+        rho = from_state(np.array([3.0, 0.0, 0.0, 4.0]))
         assert np.trace(rho.matrix) == pytest.approx(1.0)
         assert rho.matrix[0, 0] == pytest.approx(9.0 / 25)
 
@@ -193,12 +223,12 @@ class TestDensityMatrix:
         bad = np.eye(4, dtype=complex)
         bad[0, 1] = 1.0  # not Hermitian
         with pytest.raises(ParameterError):
-            DensityMatrix(bad).validate()
+            validate(DensityMatrix(bad))
         with pytest.raises(ParameterError):
-            DensityMatrix(np.eye(4, dtype=complex)).validate()  # trace 4
+            validate(DensityMatrix(np.eye(4, dtype=complex)))  # trace 4
         neg = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ParameterError):
-            DensityMatrix(neg).validate()
+            validate(DensityMatrix(neg))
         with pytest.raises(ParameterError):
             DensityMatrix(np.eye(5))  # odd size
 
@@ -218,8 +248,8 @@ class TestDecoherence:
         m = a @ a.conj().T
         rho = DensityMatrix(m / np.trace(m).real)
         out = apply_decoherence(rho, 0.3)
-        out.validate()
-        assert out.purity() <= rho.purity() + 1e-12
+        validate(out)
+        assert purity(out) <= purity(rho) + 1e-12
 
     def test_identity_at_eta_zero(self):
         rho = DensityMatrix.thermal(8, 2.6, 3.0)
@@ -292,7 +322,7 @@ class TestEvolution:
         rec = evolve_density(
             DensityMatrix.thermal(N, 2.6, 5.0), flo, 0.05, 30, checkpoint_kicks=(30,)
         )
-        rec.checkpoints[30].validate()
+        validate(rec.checkpoints[30])
         assert np.all(rec.populations > -1e-12)
         assert np.abs(rec.populations.sum(axis=1) - 1.0).max() < 1e-10
 
@@ -387,7 +417,7 @@ class TestParityBlocks:
         [
             (lambda: DensityMatrix.pure(8, -2), 25.0, None),
             (
-                lambda: DensityMatrix.from_state(
+                lambda: from_state(
                     np.random.default_rng(3).normal(size=32) + 1j * np.random.default_rng(4).normal(size=32)
                 ),
                 25.0,
@@ -435,9 +465,9 @@ class TestParityBlocks:
             # The outer coherence is imaginary, the inner one real: the bound must count imaginary parts.
             (lambda: DensityMatrix(np.outer(np.eye(256)[128], np.eye(256)[118]) + 1j * np.outer(np.eye(256)[88], np.eye(256)[98])), 270.0, True),
             # Even sector only, with coherences: the first kick skips rows that hold rho0's tails.
-            (lambda: DensityMatrix.from_state(np.exp(-((momentum_ladder(256) * 2.6 / 20.0) ** 2))), 270.0, True),
+            (lambda: from_state(np.exp(-((momentum_ladder(256) * 2.6 / 20.0) ** 2))), 270.0, True),
             # Odd sector only.
-            (lambda: DensityMatrix.from_state(np.eye(256)[133] - np.eye(256)[123]), 270.0, True),
+            (lambda: from_state(np.eye(256)[133] - np.eye(256)[123]), 270.0, True),
         ],
         ids=["thermal-256", "thermal-512", "coherence", "coherence-256", "even-256", "odd-256"],
     )
@@ -518,6 +548,20 @@ class TestParityBlocks:
         assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-15
         with pytest.raises(ParameterError, match="parity"):
             FloquetOperator(u)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_operator(self, bad):
+        """A NaN compares false with the parity tolerance, so finiteness has its own check."""
+        with pytest.raises(ParameterError, match="not finite"):
+            FloquetOperator(np.full((8, 8), bad, complex))
+        u = np.eye(8, dtype=complex)
+        u[3, 3] = bad
+        with pytest.raises(ParameterError, match="not finite"):
+            FloquetOperator(u)
+
+    def test_overflowing_operator_is_refused_where_built(self, paper_train):
+        with pytest.raises(ParameterError, match="not finite"), np.errstate(all="ignore"):
+            build_floquet(16, 1e308, 2.6, paper_train)
 
     def test_shared_operator_is_not_written(self, paper_train):
         """One operator serves an eta sweep in any order: each record is bitwise

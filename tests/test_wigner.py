@@ -15,7 +15,7 @@ from cantori.wigner import (
     toroidal_wigner,
 )
 
-from test_quantum import apply_decoherence
+from test_quantum import apply_decoherence, from_state
 
 
 def random_density(N, seed):
@@ -85,7 +85,7 @@ def states(N):
     return {
         "thermal": DensityMatrix.thermal(N, 2.6, 3.0),
         "pure": DensityMatrix.pure(N, -1),
-        "from_state": DensityMatrix.from_state(rng.normal(size=N) + 1j * rng.normal(size=N)),
+        "from_state": from_state(rng.normal(size=N) + 1j * rng.normal(size=N)),
         "coherence": coherence(N, -N // 2, N // 2 - 1),
     }
 
@@ -209,7 +209,7 @@ class TestNegativity:
         N = 16
         psi = np.zeros(N)
         psi[N // 2] = psi[N // 2 + 2] = 1.0
-        rho = DensityMatrix.from_state(psi)
+        rho = from_state(psi)
         assert negativity_volume(toroidal_wigner(rho, 2.6)) > 0.01
 
     def test_coarse_grid_gives_the_same_volume(self):
@@ -221,7 +221,7 @@ class TestNegativity:
         N = 16
         psi = np.zeros(N)
         psi[N // 2] = psi[N // 2 + 2] = 1.0
-        rho = DensityMatrix.from_state(psi)
+        rho = from_state(psi)
         before = negativity_volume(toroidal_wigner(rho, 2.6))
         mixed = rho
         for _ in range(5):
