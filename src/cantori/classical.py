@@ -30,6 +30,7 @@ x0.94 and x0.93.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -104,7 +105,8 @@ def thermal_ensemble(params: SimParams) -> ClassicalEnsemble:
     """Uniform in phi, Gaussian in rho with width init_momentum_sigma, drawn from rng_seed."""
     rng = np.random.default_rng(params.rng_seed)
     phi = rng.uniform(0.0, TWO_PI, params.n_trajectories)
-    rho = rng.normal(0.0, params.init_momentum_sigma, params.n_trajectories)
+    # abs: NumPy refuses a width of -0.0, which SimParams accepts as 0.
+    rho = rng.normal(0.0, abs(params.init_momentum_sigma), params.n_trajectories)
     return ClassicalEnsemble(phi, rho)
 
 
@@ -115,12 +117,6 @@ def _check_duration(duration: float) -> None:
 
 def _drift(phi, rho, duration: float):
     return np.mod(phi + rho * duration, TWO_PI)
-
-
-def drift_segment(phi, rho, duration: float):
-    """Free evolution: phi advances by rho*duration (wrapped), rho unchanged."""
-    _check_duration(duration)
-    return _drift(phi, rho, duration), rho
 
 
 def _wrap_centered(phi):
@@ -271,8 +267,9 @@ def _recorded_kicks(phi, rho, k, train: PulseTrain, n_kicks: int, method: str) -
     else:
         n_blocks = -(-n_blocks // _WORKERS) * _WORKERS
         cuts = [phi.size * i // n_blocks for i in range(n_blocks + 1)]
-        futures = [_executor(_WORKERS).submit(_kick_block, snaps[:, a:b], k, segments, method)
-                   for a, b in zip(cuts[:-1], cuts[1:])]
+        # Each block runs in a copy of the caller's context, so the workers keep its np.errstate.
+        futures = [_executor(_WORKERS).submit(contextvars.copy_context().run, _kick_block, snaps[:, a:b], k,
+                                              segments, method) for a, b in zip(cuts[:-1], cuts[1:])]
         wait(futures)
         for future in futures:
             future.result()

@@ -5,7 +5,13 @@ and output root, [params] carries the SimParams fields, and an optional
 section named after the scenario carries the options SCENARIOS lists for it.
 An optional [physical] section derives kick_strength and scaled_planck from
 laboratory parameters, overriding the [params] values.  Unknown sections and
-keys are rejected, and every option is parsed before anything runs.
+keys are rejected, and parse_config parses every option of the scenario once,
+fallbacks included, into RunConfig.options before anything runs.
+
+A scenario computes and writes nothing: it is a generator of its RunConfig
+that yields one (name, templates, data, header) table per output file.
+run_scenario alone writes: config.ini, then each table through _write_rows,
+which refuses a table holding a NaN or an infinity before writing any of it.
 
 All outputs of one run land in a single directory named by timestamp plus a
 digest of the canonical config; a manifest.json listing every output file
@@ -26,11 +32,11 @@ import shutil
 import sys
 import time
 import uuid
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -90,7 +96,7 @@ class Option(NamedTuple):
 
 
 class Scenario(NamedTuple):
-    run: Callable[[RunConfig, Path, dict], None]
+    run: Callable[[RunConfig], Iterator[tuple]]     # yields (name, templates, data, header) per file
     description: str
     options: dict[str, Option]
 
@@ -100,13 +106,8 @@ class RunConfig:
     scenario: str
     output_dir: str
     params: SimParams
-    extra: dict = field(default_factory=dict)       # scenario-section options, as written
-
-    def option(self, name: str):
-        """Parsed value of a scenario option, or of its fallback."""
-        spec = SCENARIOS[self.scenario].options[name]
-        text = self.extra.get(name) or spec.fallback.format_map(vars(self.params))
-        return _parse(f"[{self.scenario}] {name}", spec.parse, text)
+    extra: dict         # scenario-section options, as written
+    options: dict       # every option of the scenario, parsed, fallbacks taken
 
     def canonical(self) -> str:
         """Normalized key=value text; equal configs give equal text."""
@@ -245,24 +246,27 @@ def parse_config(text: str) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(f"[params]: {exc}") from None
 
-    edge, sigma = params.basis_size / 2 * params.scaled_planck, params.init_momentum_sigma
-    with np.errstate(all="ignore"):
+    edge = params.basis_size / 2 * params.scaled_planck
+    with np.errstate(over="ignore"):
         if not np.isfinite(np.float64(edge) ** 2):
             raise ConfigError(f"[params] (basis_size/2 * scaled_planck)^2 is not finite: edge momentum {edge:g}")
-        weight = quantum.thermal_weights(params.basis_size, params.scaled_planck, sigma).sum()
-        if sigma and not 0 < weight < np.inf:
-            raise ConfigError(f"[params] init_momentum_sigma = {sigma:g}: its thermal weights are not finite")
+    try:
+        quantum.thermal_weights(params.basis_size, params.scaled_planck, params.init_momentum_sigma)
+    except ParameterError as exc:
+        raise ConfigError(f"[params] {exc}") from None
 
-    cfg = RunConfig(scenario, output_dir, params, dict(cp[scenario]) if scenario in cp else {})
-    for name in SCENARIOS[scenario].options:
-        cfg.option(name)
+    extra = dict(cp[scenario]) if scenario in cp else {}
+    options = {
+        name: _parse(f"[{scenario}] {name}", spec.parse, extra.get(name) or spec.fallback.format_map(vars(params)))
+        for name, spec in SCENARIOS[scenario].options.items()
+    }
     # Beyond the last ladder site the quantum fraction outside reads 0 by construction.
-    if scenario == "transport" and cfg.option("boundary_over_pi") * np.pi >= edge:
+    if scenario == "transport" and options["boundary_over_pi"] * np.pi >= edge:
         raise ConfigError(f"[transport] boundary_over_pi: boundary at or beyond the ladder edge {edge:.6g}")
-    return cfg
+    return RunConfig(scenario, output_dir, params, extra, options)
 
 
-# Rows that _savetxt formats with one % operation: large enough to amortise
+# Rows that _write_rows formats with one % operation: large enough to amortise
 # the per-call cost, small enough to keep the formatted text a few MB.
 _SAVETXT_ROWS = 16384
 
@@ -290,19 +294,20 @@ def _templates(blocks: list[str], block_rows: int) -> list[tuple[int, str]]:
     return [(block_rows * len(chunk), "".join(chunk)[1:] + "\n") for chunk in chunks]
 
 
-def _check_finite(name: str, data) -> None:
-    """Refuse data for the output file name that holds a NaN or an infinity."""
-    if not np.isfinite(data).all():
-        raise classical.NumericalDomainError(f"{name}: non-finite values in the data")
+def _table(*columns) -> tuple[list[tuple[int, str]], np.ndarray]:
+    """(templates, data) of the bytes np.savetxt(np.column_stack(columns), fmt="%.10g") writes."""
+    data = np.column_stack(columns)
+    return _templates(["\n" + " ".join(["%.10g"] * data.shape[1])] * len(data), 1), data
 
 
 def _write_rows(outdir: Path, name: str, templates: list[tuple[int, str]], data, header: str, files: dict) -> None:
     """Write "# "-prefixed header lines, then each template % its own row count of the next rows of data.
 
-    Refuses data holding a NaN or an infinity before writing anything (see _check_finite).
+    Data holding a NaN or an infinity is refused with NumericalDomainError before anything is written.
     """
     data = np.asarray(data)
-    _check_finite(name, data)
+    if not np.isfinite(data).all():
+        raise classical.NumericalDomainError(f"{name}: non-finite values in the data")
 
     def parts():
         if header:
@@ -315,133 +320,97 @@ def _write_rows(outdir: Path, name: str, templates: list[tuple[int, str]], data,
     _write_text(outdir, name, parts(), files)
 
 
-def _savetxt(outdir: Path, name: str, data, header: str, files: dict) -> None:
-    """The bytes np.savetxt(data, fmt="%.10g", header=header, comments="# ") writes, chunk by chunk."""
-    data = np.asarray(data)
-    if data.ndim == 1:
-        data = data[:, None]
-    row = "\n" + " ".join(["%.10g"] * data.shape[1])
-    _write_rows(outdir, name, _templates([row] * len(data), 1), data, header, files)
-
-
 def _quantum_start(p: SimParams) -> tuple[quantum.DensityMatrix, quantum.FloquetOperator]:
     """The thermal initial state and the one-cycle Floquet operator of every quantum scenario."""
     rho0 = quantum.DensityMatrix.thermal(p.basis_size, p.scaled_planck, p.init_momentum_sigma)
     return rho0, quantum.build_floquet(p.basis_size, p.kick_strength, p.scaled_planck, p.pulse_train())
 
 
-def _scenario_transport(cfg: RunConfig, outdir: Path, files: dict) -> None:
+def _scenario_transport(cfg: RunConfig):
     p = cfg.params
-    boundary = cfg.option("boundary_over_pi") * np.pi
+    boundary = cfg.options["boundary_over_pi"] * np.pi
 
     ensemble = classical.thermal_ensemble(p)
     rec = classical.evolve_ensemble(ensemble, p, p.pulse_train(), method="elliptic")
     curve = analysis.transport_curve_classical(rec, boundary)
-    _savetxt(
-        outdir, "classical.dat",
-        np.column_stack([curve.kicks, curve.fraction_outside]),
-        f"classical fraction outside |rho|={boundary:.6g}, k={p.kick_strength}\nkick fraction_outside",
-        files,
-    )
+    yield ("classical.dat", *_table(curve.kicks, curve.fraction_outside),
+           f"classical fraction outside |rho|={boundary:.6g}, k={p.kick_strength}\nkick fraction_outside")
 
     rho0, floquet = _quantum_start(p)
-    index_lines = ["# eta file", f"classical {Path('classical.dat')}"]
-    for eta in cfg.option("eta_values"):
+    index = "classical classical.dat\n"
+    for eta in cfg.options["eta_values"]:
         qrec = quantum.evolve_density(rho0, floquet, eta, p.n_kicks)
         qcurve = analysis.transport_curve_quantum(qrec, p.scaled_planck, boundary)
         name = f"quantum_eta_{eta:g}.dat"
-        _savetxt(
-            outdir, name,
-            np.column_stack([qcurve.kicks, qcurve.fraction_outside]),
-            f"quantum fraction outside |rho|={boundary:.6g}, k={p.kick_strength}, eta={eta:g}\n"
-            "kick fraction_outside",
-            files,
-        )
-        index_lines.append(f"{eta:g} {name}")
-    _write_text(outdir, "index.dat", "\n".join(index_lines) + "\n", files)
+        yield (name, *_table(qcurve.kicks, qcurve.fraction_outside),
+               f"quantum fraction outside |rho|={boundary:.6g}, k={p.kick_strength}, eta={eta:g}\n"
+               "kick fraction_outside")
+        index += f"{eta:g} {name}\n"
+    yield "index.dat", [(0, index)], (), "eta file"
 
 
-def _scenario_waterfall(cfg: RunConfig, outdir: Path, files: dict) -> None:
+def _scenario_waterfall(cfg: RunConfig):
     p = cfg.params
-    n_kicks = cfg.option("n_kicks")
     rho0, floquet = _quantum_start(p)
-    rec = quantum.evolve_density(rho0, floquet, p.se_probability, n_kicks)
+    rec = quantum.evolve_density(rho0, floquet, p.se_probability, cfg.options["n_kicks"])
     # One block of N rows per kick, after a blank line from the second kick on.
     xs = ["%.10g" % v for v in (quantum.momentum_ladder(p.basis_size) * p.scaled_planck / np.pi).tolist()]
     column = "".join(f"\n {x} %.10g" for x in xs)
     blocks = [("\n" if kick else "") + column.replace("\n", f"\n{kick}") for kick in rec.kicks.tolist()]
-    _write_rows(
-        outdir, "waterfall.dat", _templates(blocks, len(xs)), rec.populations.ravel(),
-        f"momentum distributions, k={p.kick_strength}, eta={p.se_probability:g}\n"
-        "kick rho_over_pi population  (blank line between kicks)",
-        files,
-    )
+    yield ("waterfall.dat", _templates(blocks, len(xs)), rec.populations.ravel(),
+           f"momentum distributions, k={p.kick_strength}, eta={p.se_probability:g}\n"
+           "kick rho_over_pi population  (blank line between kicks)")
 
 
-def _scenario_poincare(cfg: RunConfig, outdir: Path, files: dict) -> None:
+def _scenario_poincare(cfg: RunConfig):
     p = cfg.params
-    n_seeds = cfg.option("n_seeds")
-    n_kicks = cfg.option("n_kicks")
-    rho_max = cfg.option("rho_max_over_pi") * np.pi
+    n_seeds, n_kicks = cfg.options["n_seeds"], cfg.options["n_kicks"]
+    rho_max = cfg.options["rho_max_over_pi"] * np.pi
     rho_seed = np.linspace(-rho_max, rho_max, n_seeds)
     seeds = np.column_stack([np.full(n_seeds, np.pi), rho_seed])
     points = classical.poincare_section(seeds, p.kick_strength, p.pulse_train(), n_kicks)
-    _savetxt(
-        outdir, "poincare.dat", points,
-        f"Poincare section, k={p.kick_strength}, {n_seeds} seeds x {n_kicks} kicks\nphi rho",
-        files,
-    )
+    yield ("poincare.dat", *_table(points),
+           f"Poincare section, k={p.kick_strength}, {n_seeds} seeds x {n_kicks} kicks\nphi rho")
 
 
-def _scenario_wigner(cfg: RunConfig, outdir: Path, files: dict) -> None:
+def _scenario_wigner(cfg: RunConfig):
     p = cfg.params
-    checkpoints = cfg.option("checkpoint_kicks")
+    checkpoints = cfg.options["checkpoint_kicks"]
     rho0, floquet = _quantum_start(p)
     # The X and P columns repeat in every grid: format them once, X-major as np.meshgrid(..., indexing="ij"),
     # one block of N rows per X.
     xs, ps = (["%.10g" % v for v in axis.tolist()] for axis in wigner.coarse_axes(p.basis_size, p.scaled_planck))
     column = "".join(f"\n {q} %.10g" for q in ps)
     templates = _templates([column.replace("\n", "\n" + x) for x in xs], len(ps))
-    summary = ["# eta kick negativity_volume file"]
-    for eta in cfg.option("eta_values"):
+    summary, negativities = "", []
+    for eta in cfg.options["eta_values"]:
         rec = quantum.evolve_density(rho0, floquet, eta, max(checkpoints), checkpoints)
         for kick in checkpoints:
             coarse = wigner.coarse_wigner(rec.checkpoints[kick], p.scaled_planck)
             name = f"wigner_eta_{eta:g}_kick_{kick}.dat"
-            _write_rows(
-                outdir, name, templates, coarse.T.ravel(),
-                f"coarse toroidal Wigner function, k={p.kick_strength}, eta={eta:g}, kick={kick}\nX P w",
-                files,
-            )
-            negativity = wigner.coarse_negativity(coarse, p.scaled_planck)
-            _check_finite("negativity.dat", negativity)
-            summary.append(f"{eta:g} {kick} {negativity:.10g} {name}")
-    _write_text(outdir, "negativity.dat", "\n".join(summary) + "\n", files)
+            yield (name, templates, coarse.T.ravel(),
+                   f"coarse toroidal Wigner function, k={p.kick_strength}, eta={eta:g}, kick={kick}\nX P w")
+            negativities.append(wigner.coarse_negativity(coarse, p.scaled_planck))
+            summary += f"{eta:g} {kick} %.10g {name}\n"
+    yield "negativity.dat", [(len(negativities), summary)], negativities, "eta kick negativity_volume file"
 
 
-def _scenario_flux(cfg: RunConfig, outdir: Path, files: dict) -> None:
+def _scenario_flux(cfg: RunConfig):
     p = cfg.params
-    boundary = cfg.option("boundary_over_pi") * np.pi
+    boundary = cfg.options["boundary_over_pi"] * np.pi
     est = classical.cantorus_flux(
         p.kick_strength,
         p.pulse_train(),
         boundary,
-        n_seeds=cfg.option("n_seeds"),
-        n_replicates=cfg.option("n_replicates"),
+        n_seeds=cfg.options["n_seeds"],
+        n_replicates=cfg.options["n_replicates"],
         rng_seed=p.rng_seed,
     )
-    ratio = est.flux / p.scaled_planck
-    _check_finite("flux.dat", [est.flux, est.stderr, ratio, *est.samples])
-    text = (
-        f"# phase-space flux through |rho|={boundary:.6g} per kick cycle, k={p.kick_strength}\n"
-        f"flux {est.flux:.10g}\n"
-        f"stderr {est.stderr:.10g}\n"
-        f"flux_over_hbar_k {ratio:.10g}\n"
-        f"n_crossings {est.n_crossings}\n"
-        "# per-replicate samples (out, in alternating)\n"
-        + "\n".join(f"sample {s:.10g}" for s in est.samples) + "\n"
-    )
-    _write_text(outdir, "flux.dat", text, files)
+    template = ("flux %.10g\nstderr %.10g\nflux_over_hbar_k %.10g\nn_crossings %d\n"
+                "# per-replicate samples (out, in alternating)\n" + "sample %.10g\n" * len(est.samples))
+    yield ("flux.dat", [(4 + len(est.samples), template)],
+           [est.flux, est.stderr, est.flux / p.scaled_planck, est.n_crossings, *est.samples],
+           f"phase-space flux through |rho|={boundary:.6g} per kick cycle, k={p.kick_strength}")
 
 
 SCENARIOS = {
@@ -493,7 +462,9 @@ def run_scenario(cfg: RunConfig, stamp: str | None = None) -> tuple[Path, RunMan
     try:
         files: dict[str, str] = {}
         _write_text(partial, "config.ini", cfg.canonical(), files)
-        SCENARIOS[cfg.scenario].run(cfg, partial, files)
+        for name, templates, data, header in SCENARIOS[cfg.scenario].run(cfg):
+            _write_rows(partial, name, templates, data, header, files)
+            del data        # freed before the scenario computes its next table
         manifest = RunManifest(cfg.canonical(), __version__, time.monotonic() - t0, files)
         manifest.write(partial / "manifest.json")
         partial.rename(outdir)
@@ -529,16 +500,13 @@ def main(argv=None) -> int:
         return 4
     try:
         cfg = parse_config(text)
-    except (ConfigError, ParameterError) as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "validate":
-        print(f"ok: scenario={cfg.scenario} digest={cfg.digest()[:12]}")
-        return 0
-
-    try:
-        outdir, manifest = run_scenario(cfg)
+        if args.command == "validate":
+            print(f"ok: scenario={cfg.scenario} digest={cfg.digest()[:12]}")
+            return 0
+        # A named check refuses every non-finite value (FloquetOperator, the classical
+        # runner, the writer), so NumPy's warnings would only repeat the error line.
+        with np.errstate(all="ignore"):
+            outdir, manifest = run_scenario(cfg)
     except (ConfigError, ParameterError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2

@@ -24,10 +24,6 @@ HBAR = 1.054571817e-34  # J s
 # equal Zeeman sub-level populations.
 LINE_STRENGTHS = (Fraction(11, 27), Fraction(7, 36), Fraction(7, 108))
 
-# Caesium D2 constants used by the default configuration.
-CS_MASS = 2.2069e-25          # kg
-CS_WAVELENGTH = 852e-9        # m
-
 
 class ParameterError(ValueError):
     """Invalid physical or simulation parameter."""

@@ -76,17 +76,22 @@ class DensityMatrix:
     @classmethod
     def thermal(cls, N: int, hbar_k: float, sigma: float) -> "DensityMatrix":
         """Incoherent Gaussian mixture of momentum eigenstates, width sigma in rho."""
-        if sigma == 0.0:
-            return cls.pure(N, 0)
-        w = thermal_weights(N, hbar_k, sigma)
-        return cls(np.diag(w / w.sum()).astype(complex))
+        return cls(np.diag(thermal_weights(N, hbar_k, sigma)).astype(complex))
 
 
 def thermal_weights(N: int, hbar_k: float, sigma: float) -> np.ndarray:
-    """Unnormalised weights exp(-(n hbar_k)^2 / (2 sigma^2)) of the ladder states; sigma
-    is squared as a NumPy float, so a square too large for a float is inf, not an OverflowError."""
-    with np.errstate(over="ignore"):
-        return np.exp(-((momentum_ladder(N) * hbar_k) ** 2) / (2.0 * np.float64(sigma) ** 2))
+    """Weights exp(-(n hbar_k)^2 / (2 sigma^2)) of the ladder states, normalised to sum 1;
+    sigma = 0 puts all the weight on n = 0.  sigma is squared as a NumPy float, so a square
+    too large for a float is inf (equal weights), not an OverflowError.  Raises ParameterError
+    when the weights sum to 0 or to no finite number, as when sigma^2 underflows to 0."""
+    if sigma == 0.0:
+        return (momentum_ladder(N) == 0).astype(float)
+    with np.errstate(all="ignore"):
+        w = np.exp(-((momentum_ladder(N) * hbar_k) ** 2) / (2.0 * np.float64(sigma) ** 2))
+    total = w.sum()
+    if not 0 < total < np.inf:
+        raise ParameterError(f"init_momentum_sigma = {sigma:g}: its thermal weights are not finite")
+    return w / total
 
 
 class FloquetOperator:

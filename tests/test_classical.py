@@ -11,7 +11,6 @@ from cantori.classical import (
     NumericalDomainError,
     StatisticsError,
     cantorus_flux,
-    drift_segment,
     evolve_ensemble,
     kick_cycle,
     pendulum_segment,
@@ -36,26 +35,28 @@ def random_band_states(rng, n, rho_max=40.0):
 
 
 class TestDrift:
+    """Free drift: a pendulum segment at k = 0."""
+
     def test_full_winding(self):
-        phi, rho = drift_segment(np.array([0.0]), np.array([TWO_PI]), 1.0)
+        phi, rho = pendulum_segment(np.array([0.0]), np.array([TWO_PI]), 0.0, 1.0)
         assert phi[0] == pytest.approx(0.0, abs=1e-12)
         assert rho[0] == TWO_PI
 
     def test_half_period(self):
-        phi, rho = drift_segment(np.array([0.0]), np.array([np.pi]), 0.5)
+        phi, rho = pendulum_segment(np.array([0.0]), np.array([np.pi]), 0.0, 0.5)
         assert phi[0] == pytest.approx(np.pi / 2)
         assert rho[0] == np.pi
 
     def test_rho_preserved_bitwise(self):
         rng = np.random.default_rng(3)
         phi, rho = random_band_states(rng, 100)
-        _, rho2 = drift_segment(phi, rho, 0.37)
+        _, rho2 = pendulum_segment(phi, rho, 0.0, 0.37)
         assert np.array_equal(rho, rho2)
 
     @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf, -1.0], ids=["nan", "inf", "-inf", "negative"])
     def test_bad_duration_raises(self, duration):
         with pytest.raises(ParameterError, match=r"^duration must be finite and >= 0, got "):
-            drift_segment(np.array([1.0]), np.array([1.0]), duration)
+            pendulum_segment(np.array([1.0]), np.array([1.0]), 0.0, duration)
 
 
 @pytest.mark.parametrize("method", ["elliptic", "symplectic"])
@@ -102,8 +103,7 @@ class TestPendulum:
     def test_zero_kick_reduces_to_drift(self, method):
         phi, rho = np.array([1.0]), np.array([2.0])
         p, r = pendulum_segment(phi, rho, 0.0, 0.25, method=method)
-        pd, rd = drift_segment(phi, rho, 0.25)
-        assert p[0] == pd[0] and r[0] == rd[0]
+        assert np.array_equal(p, np.mod(phi + rho * 0.25, TWO_PI)) and np.array_equal(r, rho)
 
 
 class TestBackendAgreement:
@@ -136,6 +136,10 @@ class TestEnsemble:
         assert np.all((ens.phi >= 0) & (ens.phi < TWO_PI))
         assert ens.rho.std() == pytest.approx(4.0, rel=0.02)
         assert ens.rho.mean() == pytest.approx(0.0, abs=0.05)
+
+    def test_negative_zero_width_is_zero_width(self):
+        p = SimParams(kick_strength=5.0, scaled_planck=2.6, n_trajectories=10, rng_seed=1, init_momentum_sigma=-0.0)
+        assert np.array_equal(thermal_ensemble(p).rho, np.zeros(10))
 
     def test_zero_kick_preserves_rho_bitwise(self, paper_train):
         p = SimParams(kick_strength=0.0, scaled_planck=2.6, n_trajectories=100, rng_seed=1)
@@ -171,10 +175,7 @@ class TestEnsemble:
         phi, rho = rng.uniform(-20.0, 20.0, 1000), rng.uniform(-40.0, 40.0, 1000)
         p, r = kick_cycle(phi, rho, 270.0, paper_train, method=method)
         for dur, driven in paper_train.segments:
-            if driven:
-                phi, rho = pendulum_segment(phi, rho, 270.0, float(dur), method=method)
-            else:
-                phi, rho = drift_segment(phi, rho, float(dur))
+            phi, rho = pendulum_segment(phi, rho, 270.0 if driven else 0.0, float(dur), method=method)
         assert np.array_equal(p, phi) and np.array_equal(r, rho)
 
     def test_kam_confinement_short(self, paper_train):
@@ -412,9 +413,19 @@ class TestCoreSplit:
         names = {name for name, _ in calls}
         # The runner makes no public segment calls.
         assert {"evolve_ensemble", "cantorus_flux", "kick_cycle"} <= names
-        assert not names & {"pendulum_segment", "drift_segment"}
+        assert "pendulum_segment" not in names
         assert all(thread is main for name, thread in calls if name in public)
         assert all(thread is not main for name, thread in calls if name not in public)
+
+    def test_workers_keep_the_callers_errstate(self, monkeypatch, paper_train):
+        """Under np.errstate(all="raise") an overflow raises FloatingPointError
+        whether the trajectories run inline (4000) or on two workers (20,000)."""
+        monkeypatch.setattr(classical, "_WORKERS", 2)
+        for n in (4000, 20_000):
+            phi, rho = random_band_states(np.random.default_rng(1), n)
+            rho[n // 2] = 1e300
+            with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                kick_cycle(phi, rho, 270.0, paper_train, method="elliptic")
 
     def test_non_finite_state_on_a_worker_raises_in_the_caller(self, monkeypatch, paper_train):
         """A NaN that a block's kernel returns mid-run fails the finiteness check

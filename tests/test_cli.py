@@ -4,12 +4,19 @@ import configparser
 import hashlib
 import io
 import json
+import math
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from datetime import datetime
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantori import cli, quantum, wigner
 from cantori.cli import (
@@ -112,10 +119,9 @@ class TestParse:
 
     def test_options_parsed(self):
         cfg = parse_config(DEFAULT_CONFIG)
-        assert cfg.option("eta_values") == (0.0, 0.0187, 0.0503)
-        assert cfg.option("boundary_over_pi") == 10.0
+        assert cfg.options == {"eta_values": (0.0, 0.0187, 0.0503), "boundary_over_pi": 10.0}
         cfg = parse_config(DEFAULT_CONFIG.replace("scenario = transport", "scenario = wigner"))
-        assert cfg.option("checkpoint_kicks") == (70,)
+        assert cfg.options == {"eta_values": (0.0, 0.02), "checkpoint_kicks": (70,)}
 
     @pytest.mark.parametrize(
         "scenario,line,name,expected",
@@ -130,7 +136,7 @@ class TestParse:
         text = DEFAULT_CONFIG.replace("scenario = transport", f"scenario = {scenario}")
         cfg = parse_config(text.replace(line, line.split("=")[0] + "="))
         assert cfg.extra[name] == ""
-        assert cfg.option(name) == expected
+        assert cfg.options[name] == expected
 
     @pytest.mark.parametrize(
         "basis_size,boundary_over_pi,ok", [(16, "6.6", True), (16, "6.7", False), (8, "10", False)]
@@ -141,7 +147,7 @@ class TestParse:
         # The first boundary_over_pi is the [transport] one.
         text = text.replace("boundary_over_pi = 10", f"boundary_over_pi = {boundary_over_pi}", 1)
         if ok:
-            assert parse_config(text).option("boundary_over_pi") == float(boundary_over_pi)
+            assert parse_config(text).options["boundary_over_pi"] == float(boundary_over_pi)
         else:
             with pytest.raises(ConfigError, match="ladder"):
                 parse_config(text)
@@ -215,8 +221,8 @@ class TestRunScenario:
         assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
 
     def test_failed_run_leaves_no_directory(self, tmp_path, monkeypatch):
-        def fail(cfg, outdir, files):
-            cli._write_text(outdir, "partial.dat", "half\n", files)
+        def fail(cfg):
+            yield "partial.dat", *cli._table([1.0, 2.0]), "half"
             raise OSError("disk full")
 
         monkeypatch.setitem(SCENARIOS, "transport", SCENARIOS["transport"]._replace(run=fail))
@@ -237,7 +243,7 @@ def waterfall_reference(p, rec) -> str:
 
 
 class TestSavetxt:
-    """cli._savetxt writes exactly the bytes of np.savetxt(..., comments="# ")."""
+    """cli._write_rows of a cli._table writes exactly the bytes of np.savetxt(..., comments="# ")."""
 
     @pytest.mark.parametrize("shape", [(7,), (7, 1), (7, 2), (5000, 3), (0, 3)])
     @pytest.mark.parametrize("header", ["", "one line", "first line\nX P w"])
@@ -248,7 +254,7 @@ class TestSavetxt:
         if data.size:
             data.flat[0] = -0.0
         files = {}
-        cli._savetxt(tmp_path, "x.dat", data, header, files)
+        cli._write_rows(tmp_path, "x.dat", *cli._table(data), header, files)
         buf = io.StringIO()
         np.savetxt(buf, data, header=header, comments="# ", fmt="%.10g")
         expected = buf.getvalue().encode()
@@ -296,6 +302,15 @@ class TestSavetxt:
         expected = waterfall_reference(p, quantum.evolve_density(rho0, floquet, p.se_probability, n_kicks))
         assert (outdir / "waterfall.dat").read_bytes() == expected.encode()
         assert manifest.files["waterfall.dat"] == hashlib.sha256(expected.encode()).hexdigest()
+
+
+def run_main(*argv) -> tuple[int, list[str]]:
+    """main(argv) -> (exit code, stderr lines), each warning raised during the call counted as a line."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    return code, [str(w.message) for w in caught] + err.getvalue().splitlines()
 
 
 class TestMain:
@@ -361,38 +376,42 @@ class TestMain:
         return path
 
     @pytest.mark.parametrize(
-        "scenario,old,new,validate,last",
+        "scenario,old,new,validate,code,err",
         [
-            ("waterfall", "init_momentum_sigma = 10.0", "init_momentum_sigma = 1e-200", 2,
+            ("waterfall", "init_momentum_sigma = 10.0", "init_momentum_sigma = 1e-200", 2, 2,
              "error: invalid config: [params] init_momentum_sigma = 1e-200: its thermal weights are not finite"),
-            ("waterfall", "scaled_planck = 2.6", "scaled_planck = 5e-324", 0,
+            ("waterfall", "scaled_planck = 2.6", "scaled_planck = 5e-324", 0, 2,
              "error: invalid config: Floquet operator is not finite: its parity frames hold NaN or inf"),
-            ("wigner", "kick_strength = 270", "kick_strength = 1e308", 0,
+            ("wigner", "kick_strength = 270", "kick_strength = 1e308", 0, 2,
              "error: invalid config: Floquet operator is not finite: its parity frames hold NaN or inf"),
-            ("wigner", "scaled_planck = 2.6", "scaled_planck = 1e308", 2,
+            ("wigner", "scaled_planck = 2.6", "scaled_planck = 1e308", 2, 2,
              "error: invalid config: [params] (basis_size/2 * scaled_planck)^2 is not finite: edge momentum inf"),
-            ("waterfall", "init_momentum_sigma = 10.0", "init_momentum_sigma = 1e300", 0, None),
+            ("waterfall", "init_momentum_sigma = 10.0", "init_momentum_sigma = 1e300", 0, 0, None),
+            # 20,000 seeds and flux's default 100,000 run on the pool's workers.
+            ("poincare", "n_seeds = 60\nn_kicks = 300\nrho_max_over_pi = 16",
+             "n_seeds = 20000\nn_kicks = 300\nrho_max_over_pi = 1e300", 0, 3,
+             "error: compute failed in scenario poincare: non-finite phase-space input"),
+            ("flux", "kick_strength = 270", "kick_strength = 5e-324", 0, 3,
+             "error: compute failed in scenario flux: non-finite phase-space input"),
         ],
-        ids=["sigma-underflow", "planck-subnormal", "kick-overflow", "planck-overflow", "sigma-overflow"],
+        ids=["sigma-underflow", "planck-subnormal", "kick-overflow", "planck-overflow", "sigma-overflow",
+             "poincare-rho-overflow", "flux-kick-subnormal"],
     )
-    def test_extreme_values_end_cleanly(self, tmp_path, capsys, scenario, old, new, validate, last):
-        """Configs that once ran into NaN data or an OverflowError.  Each is refused
-        with exit 2 (at validate, or where the Floquet operator is built) and no
-        run directory, or runs to finite data: sigma = 1e300 squares to inf and
-        gives the uniform mixture."""
+    def test_extreme_values_end_cleanly(self, tmp_path, scenario, old, new, validate, code, err):
+        """Configs that once ran into NaN data, an OverflowError or NumPy warnings.
+        Each is refused with exit 2 (at validate, or where the Floquet operator is
+        built) or 3 (by the classical runner's finiteness check), with one stderr
+        line and no run directory, or runs to finite data with nothing on stderr:
+        sigma = 1e300 squares to inf and gives the uniform mixture."""
         path = self.small_config(tmp_path, scenario, old, new)
-        assert main(["validate", str(path)]) == validate
-        capsys.readouterr()
-        if last is None:
-            assert main(["run", str(path)]) == 0
-            assert capsys.readouterr().err == ""
-            (run,) = (tmp_path / "runs").iterdir()
-            pops = np.loadtxt(run / "waterfall.dat")[:, 2]
-            np.testing.assert_allclose(pops, 1 / 16, rtol=1e-12)
+        assert run_main("validate", str(path))[0] == validate
+        assert run_main("run", str(path)) == (code, [err] if err else [])
+        if err:
+            assert not (tmp_path / "runs").exists() or list((tmp_path / "runs").iterdir()) == []
             return
-        assert main(["run", str(path)]) == 2
-        assert capsys.readouterr().err.splitlines()[-1] == last
-        assert not (tmp_path / "runs").exists() or list((tmp_path / "runs").iterdir()) == []
+        (run,) = (tmp_path / "runs").iterdir()
+        pops = np.loadtxt(run / "waterfall.dat")[:, 2]
+        np.testing.assert_allclose(pops, 1 / 16, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "scenario,target,bad,name",
@@ -404,7 +423,7 @@ class TestMain:
         ids=["negativity", "flux"],
     )
     def test_hand_built_outputs_refuse_non_finite(self, tmp_path, capsys, monkeypatch, scenario, target, bad, name):
-        """The text files built without the row writer get its non-finite refusal too."""
+        """negativity.dat and flux.dat go through the same writer and its non-finite refusal."""
         monkeypatch.setattr(target, *bad)
         path = self.small_config(tmp_path, scenario)
         assert main(["run", str(path)]) == 3
@@ -513,3 +532,74 @@ class TestStrictConfig:
             assert captured.err.startswith("error: invalid config: ")
             assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not (tmp_path / "runs").exists()
+
+
+# DEFAULT_CONFIG at N = 16, 3 kicks, 50 trajectories, 60 poincare and 5000 flux seeds,
+# with the transport boundary inside the N = 16 ladder.
+SMALL = {
+    ("params", "basis_size"): "16", ("params", "n_kicks"): "3", ("params", "n_trajectories"): "50",
+    ("transport", "boundary_over_pi"): "4", ("waterfall", "n_kicks"): "3", ("poincare", "n_kicks"): "3",
+    ("wigner", "checkpoint_kicks"): "3", ("flux", "n_seeds"): "5000",
+}
+VALUES = st.sampled_from([
+    "0", "-0", "0.0", "-0.0", "1", "2", "3", "-1", "-2", "1e300", "-1e300", "1e-300", "1e308", "-1e308",
+    "5e-324", "-5e-324", "nan", "inf", "-inf", "1/3", "-1/20", "3/7", "0.5", "", "0 0.02", "1, 2", "0 nan 1e308",
+])
+
+
+@st.composite
+def mutations(draw) -> tuple[str, list[tuple[tuple[str, str], str]]]:
+    """A scenario, and one to three of its [params] or scenario keys, each with the text that replaces its value."""
+    scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    keys = [("params", f.name) for f in fields(SimParams)] + [(scenario, name) for name in SCENARIOS[scenario].options]
+    return scenario, draw(st.lists(st.tuples(st.sampled_from(keys), VALUES), min_size=1, max_size=3,
+                                   unique_by=lambda change: change[0]))
+
+
+def mutated_config(scenario: str, changes: list, output_dir: Path) -> str:
+    """The small DEFAULT_CONFIG for scenario, writing under output_dir, with the changes made."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(DEFAULT_CONFIG)
+    cp["run"]["scenario"], cp["run"]["output_dir"] = scenario, str(output_dir)
+    for (section, key), value in [*SMALL.items(), *changes]:
+        cp[section][key] = value
+    text = io.StringIO()
+    cp.write(text)
+    return text.getvalue()
+
+
+def non_finite_numbers(path) -> list[str]:
+    """The words of the data lines of path that parse as a NaN or an infinity."""
+    found = []
+    for line in path.read_text().splitlines():
+        for word in [] if line.startswith("#") else line.split():
+            try:
+                found += [] if math.isfinite(float(word)) else [word]
+            except ValueError:
+                pass
+    return found
+
+
+class TestMutatedConfigs:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(mutations())
+    def test_every_config_ends_cleanly(self, mutation):
+        """validate exits 0 or 2 with at most one stderr line; a config that validates runs
+        to exit 0 with finite data files, or ends with exit 2, 3 or 4, one line and no run directory."""
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = Path(tmp) / "runs"
+            path = Path(tmp) / "c.ini"
+            path.write_text(mutated_config(*mutation, runs))
+            code, err = run_main("validate", str(path))
+            assert code in (0, 2) and len(err) <= 1, err
+            if code:
+                return
+            code, err = run_main("run", str(path))
+            if code:
+                assert code in (2, 3, 4) and len(err) == 1, (code, err)
+                assert not runs.exists() or not any(runs.iterdir())
+                return
+            assert err == []
+            (run,) = runs.iterdir()
+            for data in run.glob("*.dat"):
+                assert not non_finite_numbers(data), data.name

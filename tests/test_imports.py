@@ -1,17 +1,20 @@
 """Imports: every name a module of cantori imports is used there, every
-private name it defines is used there, every dataclass field is read
-somewhere, and SciPy loads only with the elliptic classical backend.
+private name it defines is used there, every public name it defines is used
+outside the unit tests, every dataclass field is read somewhere, and SciPy
+loads only with the elliptic classical backend.
 
-No linter runs on this code, so three tests stand in for one.  The first
+No linter runs on this code, so four tests stand in for one.  The first
 reads the syntax tree of each module and of each test file, collects the
 names its import statements bind, and fails on any that no expression
 loads.  It covers __init__.py too: the package re-exports nothing, so each
 name is imported from the module that defines it.  The second fails on any
 top-level private function, class or variable of a module that the module
-itself never loads.  The third fails on any annotated field of a dataclass
-in cantori whose name no attribute access in src/, tests/ or perfbench/
-loads.  The SciPy checks run in a fresh interpreter each, since this one has
-imported SciPy long before.
+itself never loads.  The third fails on any top-level public name that no
+file in src/, perfbench/ or tests/test_acceptance.py loads: a name only the
+unit tests use belongs in them.  The fourth fails on any annotated field of
+a dataclass in cantori whose name no attribute access in src/, tests/ or
+perfbench/ loads.  The SciPy checks run in a fresh interpreter each, since
+this one has imported SciPy long before.
 """
 
 import ast
@@ -45,10 +48,8 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses (name: line): {unused}"
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_no_unused_private_names(path):
-    """Every module-level private name (function, class or assignment) is loaded in its own module."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def module_names(tree: ast.Module) -> dict[str, int]:
+    """Top-level function, class and assigned names of a module, with their line numbers."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -58,10 +59,39 @@ def test_no_unused_private_names(path):
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         defined[name.id] = node.lineno
+    return defined
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    """Every module-level private name (function, class or assignment) is loaded in its own module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = module_names(tree)
     private = {name: line for name, line in defined.items() if name.startswith("_") and not name.startswith("__")}
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unused = {name: line for name, line in private.items() if name not in loaded}
     assert not unused, f"{path.name} defines private names it never uses (name: line): {unused}"
+
+
+def test_every_public_name_is_used():
+    """Every module-level public name of cantori is loaded, as a name, as an attribute or by a
+    from-import, somewhere in src/, perfbench/ or tests/test_acceptance.py."""
+    loaded = set()
+    for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py"), TESTS / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded |= {alias.name for alias in node.names}
+    unused = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in module_names(ast.parse(path.read_text(), filename=str(path))).items()
+        if not name.startswith("_") and name not in loaded
+    ]
+    assert not unused, f"public names that only the unit tests use, or nothing: {unused}"
 
 
 def test_every_dataclass_field_is_read():

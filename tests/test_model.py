@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantori.model import (
-    CS_MASS,
-    CS_WAVELENGTH,
     ParameterError,
     PhysicalParams,
     SimParams,
@@ -18,6 +16,10 @@ from cantori.model import (
 )
 
 from conftest import double_pulse_profile, fourier_integral_oracle
+
+# Caesium D2 constants.
+CS_MASS = 2.2069e-25          # kg
+CS_WAVELENGTH = 852e-9        # m
 
 CS_PARAMS = dict(
     rabi_frequency=2 * math.pi * 3.1e8,

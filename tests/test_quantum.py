@@ -214,6 +214,16 @@ class TestDensityMatrix:
         assert p @ (n * hbar_k) == pytest.approx(0.0, abs=1e-6)
         assert p @ (n * hbar_k) ** 2.0 == pytest.approx(sigma**2, rel=1e-3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", [1e-200, 5e-324])
+    def test_thermal_refuses_vanishing_weights(self, sigma):
+        """sigma^2 underflows to 0, so no weight is a positive finite number: refused, without a NumPy warning."""
+        with pytest.raises(ParameterError, match=r"init_momentum_sigma = .*: its thermal weights are not finite"):
+            DensityMatrix.thermal(16, 2.6, sigma)
+
+    def test_thermal_at_zero_width_is_the_n0_state(self):
+        assert np.array_equal(DensityMatrix.thermal(16, 2.6, 0.0).matrix, DensityMatrix.pure(16, 0).matrix)
+
     def test_from_state_normalises(self):
         rho = from_state(np.array([3.0, 0.0, 0.0, 4.0]))
         assert np.trace(rho.matrix) == pytest.approx(1.0)
