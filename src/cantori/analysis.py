@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ParameterError
+from .quantum import momentum_ladder
 
 
 @dataclass
@@ -25,20 +26,19 @@ class TransportCurve:
             raise ParameterError("fractions must lie in [0, 1]")
 
 
-def fraction_outside_quantum(populations: np.ndarray, hbar_k: float, boundary: float) -> float:
-    """Probability weight at |rho| beyond the boundary, on the momentum ladder.
+def fraction_outside_quantum(populations: np.ndarray, hbar_k: float, boundary: float) -> np.ndarray:
+    """Probability weight at |rho| beyond the boundary, on the momentum ladder,
+    of each population row: the sum runs over the last axis, so one row gives a
+    scalar and a (K, N) array K values.
 
     Each ladder site n represents the momentum bin [(n-1/2)*hbar_k,
     (n+1/2)*hbar_k); the bin straddling the boundary contributes the linear
     fraction of its width that lies outside.
     """
-    populations = np.asarray(populations, dtype=float)
-    N = populations.size
-    n = np.arange(-N // 2, N // 2)
-    lo = (np.abs(n) - 0.5) * hbar_k
-    hi = (np.abs(n) + 0.5) * hbar_k
+    n = np.abs(momentum_ladder(np.shape(populations)[-1]))
+    lo, hi = (n - 0.5) * hbar_k, (n + 0.5) * hbar_k
     outside = np.clip((hi - np.maximum(lo, boundary)) / hbar_k, 0.0, 1.0)
-    return float(np.sum(populations * outside))
+    return np.sum(np.asarray(populations, dtype=float) * outside, axis=-1)
 
 
 def transport_curve_classical(record, boundary: float) -> TransportCurve:
@@ -49,8 +49,5 @@ def transport_curve_classical(record, boundary: float) -> TransportCurve:
 
 def transport_curve_quantum(record, hbar_k: float, boundary: float) -> TransportCurve:
     """Fraction-outside curve from an EvolutionRecord."""
-    frac = np.array(
-        [fraction_outside_quantum(p, hbar_k, boundary) for p in record.populations]
-    )
-    return TransportCurve(record.kicks.copy(), frac)
+    return TransportCurve(record.kicks.copy(), fraction_outside_quantum(record.populations, hbar_k, boundary))
 

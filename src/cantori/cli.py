@@ -148,7 +148,7 @@ def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("must be a finite number")
-    return value
+    return value + 0.0      # -0.0 becomes 0.0, so both spellings give one value and one text
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -477,10 +477,9 @@ def run_scenario(cfg: RunConfig, stamp: str | None = None) -> tuple[Path, RunMan
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="cantori", description="Driven-rotor cantori transport simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="execute a scenario from a config file")
-    p_run.add_argument("config", type=Path)
-    p_val = sub.add_parser("validate", help="check a config file without computing")
-    p_val.add_argument("config", type=Path)
+    for command, text in (("run", "execute a scenario from a config file"),
+                          ("validate", "check a config file without computing")):
+        sub.add_parser(command, help=text).add_argument("config", type=Path)
     sub.add_parser("list-scenarios", help="list known scenarios")
     sub.add_parser("default-config", help="print the default configuration")
     args = parser.parse_args(argv)

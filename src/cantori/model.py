@@ -168,9 +168,10 @@ class PulseTrain:
 def build_pulse_train(alpha, delta) -> PulseTrain:
     """Symmetric two-pulse schedule: [pad dark, alpha on, gap dark, alpha on, pad dark].
 
-    gap = delta - alpha, pad = (1 - alpha - delta)/2.  Zero-length segments are
-    dropped and adjacent segments with the same drive flag merged, so the
-    delta = alpha limit degenerates to a single pulse of width 2*alpha.
+    gap = delta - alpha, pad = (1 - alpha - delta)/2.  The schedule takes one of
+    two shapes: at delta = alpha there is no gap and the pulses join into one
+    of width 2*alpha, otherwise both pulses and the gap stay.  The pads are
+    left out when alpha + delta = 1 makes them zero.
     """
     alpha, delta = Fraction(alpha), Fraction(delta)
     if not 0 < alpha <= delta:
@@ -178,22 +179,8 @@ def build_pulse_train(alpha, delta) -> PulseTrain:
     if alpha + delta > 1:
         raise ParameterError(f"pulses do not fit in one period: alpha + delta = {alpha + delta} > 1")
     pad = (1 - alpha - delta) / 2
-    raw = [
-        (pad, False),
-        (alpha, True),
-        (delta - alpha, False),
-        (alpha, True),
-        (pad, False),
-    ]
-    merged: list[tuple[Fraction, bool]] = []
-    for dur, on in raw:
-        if dur == 0:
-            continue
-        if merged and merged[-1][1] == on:
-            merged[-1] = (merged[-1][0] + dur, on)
-        else:
-            merged.append((dur, on))
-    return PulseTrain(tuple(merged))
+    pulses = [(2 * alpha, True)] if alpha == delta else [(alpha, True), (delta - alpha, False), (alpha, True)]
+    return PulseTrain(tuple([(pad, False), *pulses, (pad, False)] if pad else pulses))
 
 
 def _sinc(x: float) -> float:

@@ -34,7 +34,7 @@ trailing window of rows and columns that may survive the flush is computed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,14 +66,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def pure(cls, N: int, n: int) -> "DensityMatrix":
-        """Momentum eigenstate |n><n|."""
-        i = int(n) + N // 2
-        m = np.zeros((N, N), dtype=complex)
-        m[i, i] = 1.0
-        return cls(m)
-
-    @classmethod
     def thermal(cls, N: int, hbar_k: float, sigma: float) -> "DensityMatrix":
         """Incoherent Gaussian mixture of momentum eigenstates, width sigma in rho."""
         return cls(np.diag(thermal_weights(N, hbar_k, sigma)).astype(complex))
@@ -98,18 +90,19 @@ class FloquetOperator:
     """Single-cycle unitary U in the momentum eigenbasis, held as the two
     parity frames (ee, oo) that evolve_density multiplies by.
 
-    The N x N matrix is folded once, here (see _fold).  An operator with a
-    NaN or inf in its frames is refused, and so is one whose even-odd frames
-    are not zero: it mixes the parity sectors, which the frame evolution
-    cannot represent.  The frames are then flushed below _FLUSH_BELOW, and
-    their fixed-point columns halved: U's frames carry sqrt(2) on the
-    fixed-point rows and columns, as rho's do, and in the product U rho U^dag
-    the columns must lose it.  Only the frames are kept; .matrix rebuilds the
-    dense U from them.
+    The N x N matrix is folded once, here (see _fold), with NumPy's warnings
+    off.  An operator with a NaN or inf in its frames (an overflowing fold
+    leaves inf) is refused, and so is one whose even-odd frames are not zero:
+    it mixes the parity sectors, which the frame evolution cannot represent.
+    The frames are then flushed below _FLUSH_BELOW, and their fixed-point
+    columns halved: U's frames carry sqrt(2) on the fixed-point rows and
+    columns, as rho's do, and in the product U rho U^dag the columns must
+    lose it.  Only the frames are kept; .matrix rebuilds the dense U from them.
     """
 
     def __init__(self, matrix: np.ndarray):
-        ee, oo, eo, oe = frames = _fold(matrix)
+        with np.errstate(all="ignore"):
+            ee, oo, eo, oe = frames = _fold(matrix)
         if not all(np.isfinite(f).all() for f in frames):
             raise ParameterError("Floquet operator is not finite: its parity frames hold NaN or inf")
         leak = max(np.abs(eo).max(), np.abs(oe).max())
@@ -344,8 +337,8 @@ class EvolutionRecord:
 
     kicks: np.ndarray                 # (n_kicks+1,)
     populations: np.ndarray           # (n_kicks+1, N)
-    checkpoints: dict[int, DensityMatrix] = field(default_factory=dict)
-    edge_population_max: float = 0.0  # largest population seen on the ladder edges
+    checkpoints: dict[int, DensityMatrix]
+    edge_population_max: float        # largest population seen on the ladder edges
 
 
 def evolve_density(

@@ -39,9 +39,6 @@ class WignerGrid:
     p: np.ndarray            # (2N,) momenta P_l = (hbar_k/2)*l, l = -N ... N-1
     hbar_k: float
 
-    def coarse(self) -> np.ndarray:
-        return coarse_grain(self.values)
-
 
 def _axes(n: int, hbar_k: float) -> tuple[np.ndarray, np.ndarray]:
     """X_k = pi*k/N (k = 0 ... 2N-1) and P_l = (hbar_k/2)*l (l = -N ... N-1)."""
@@ -83,7 +80,7 @@ def toroidal_wigner(rho: DensityMatrix, hbar_k: float) -> WignerGrid:
 
 
 def coarse_wigner(rho: DensityMatrix, hbar_k: float) -> np.ndarray:
-    """toroidal_wigner(rho, hbar_k).coarse() without the doubled grid: (N, N), P along axis 0.
+    """coarse_grain(toroidal_wigner(rho, hbar_k).values) without the doubled grid: (N, N), P along axis 0.
 
     Row j = 2a + b of the pair sum reads m[(L + a + b) % N, (L - a) % N] for
     L = 0 ... N-1 (a = 0 ... N-1, b = 0, 1): a strided view of the doubled
@@ -127,4 +124,4 @@ def coarse_negativity(coarse: np.ndarray, hbar_k: float) -> float:
 
 def negativity_volume(grid: WignerGrid) -> float:
     """Integrated magnitude of the negative regions of the coarse-grained grid."""
-    return coarse_negativity(grid.coarse(), grid.hbar_k)
+    return coarse_negativity(coarse_grain(grid.values), grid.hbar_k)

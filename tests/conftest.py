@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cantori.model import build_pulse_train
+
+# Every property test draws the same examples on every run and writes no example database.
+settings.register_profile("cantori", derandomize=True, database=None, deadline=None)
+settings.load_profile("cantori")
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Tests for transport metrics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -86,6 +87,17 @@ class TestFractionOutsideQuantum:
         b1, b2 = sorted(boundaries)
         assert fraction_outside_quantum(p, 2.6, b1) >= fraction_outside_quantum(p, 2.6, b2) - 1e-12
 
+    @pytest.mark.parametrize("N", [16, 128, 512])
+    def test_rows_are_one_row_calls(self, N):
+        """A (K, N) array gives, bit for bit, the K one-row results, and so does the transport curve."""
+        rng = np.random.default_rng(N)
+        pops = rng.random((71, N))
+        pops /= pops.sum(axis=1, keepdims=True)
+        rows = np.array([fraction_outside_quantum(p, 2.6, 10.0 * np.pi) for p in pops])
+        assert np.array_equal(fraction_outside_quantum(pops, 2.6, 10.0 * np.pi), rows)
+        rec = SimpleNamespace(kicks=np.arange(71), populations=pops)
+        assert np.array_equal(transport_curve_quantum(rec, 2.6, 10.0 * np.pi).fraction_outside, rows)
+
     def test_continuous_across_bin_edge(self):
         p = np.full(16, 1.0 / 16)
         edge = 4.5 * 2.6
@@ -112,8 +124,6 @@ class TestTransportCurve:
         assert np.allclose(curve.fraction_outside, [0.5, 0.75])
 
     def test_from_population_record(self):
-        from types import SimpleNamespace
-
         N = 16
         p0 = np.zeros(N)
         p0[N // 2] = 1.0

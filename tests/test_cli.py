@@ -170,6 +170,14 @@ class TestRunScenario:
         data = np.loadtxt(outdir / "quantum_eta_0.2.dat")
         assert data.shape == (4, 2)
 
+    def test_negative_zero_eta_is_written_as_zero(self, tmp_path):
+        """se_probability = -0 is the value 0: in the canonical config and in the waterfall header."""
+        text = TINY.format(out=tmp_path / "runs").replace("scenario = transport", "scenario = waterfall")
+        cfg = parse_config(text.replace("init_momentum_sigma", "se_probability = -0\ninit_momentum_sigma"))
+        assert "params.se_probability=0.0\n" in cfg.canonical()
+        outdir, _ = run_scenario(cfg)
+        assert (outdir / "waterfall.dat").read_text().splitlines()[0].endswith(", eta=0")
+
     def test_determinism(self, tmp_path):
         cfg1 = parse_config(TINY.format(out=tmp_path / "a"))
         cfg2 = parse_config(TINY.format(out=tmp_path / "b"))
@@ -504,6 +512,8 @@ class TestStrictConfig:
             # Both would write wigner_eta_0.0187_kick_70.dat.
             ("wigner", "eta_values = 0 0.02", "eta_values = 0.0187 0.01870001"),
             ("transport", "eta_values = 0 0.0187 0.0503", "eta_values = 0 0.0187 0.0187"),
+            # -0 is 0: both would write quantum_eta_0.dat.
+            ("transport", "eta_values = 0 0.0187 0.0503", "eta_values = 0 -0"),
             ("wigner", "checkpoint_kicks = 70", "checkpoint_kicks = 5 5"),
             ("waterfall", "n_kicks = 50", "n_kicks = -3"),
             ("poincare", "n_kicks = 300", "n_kicks = -3"),
@@ -515,8 +525,9 @@ class TestStrictConfig:
             "params-key", "section", "checkpoint-kicks", "poincare-seeds", "flux-seeds", "physical-key", "ladder",
             "flux-boundary-nan", "poincare-rho-max-nan", "transport-boundary-nan", "sigma-nan", "spread-nan",
             "kick-inf", "eta-nan", "spread-transport", "spread-wigner", "spread-waterfall", "spread-flux",
-            "spread-poincare", "eta-file-name-collision", "eta-repeat", "checkpoint-repeat", "waterfall-kicks-negative",
-            "poincare-kicks-negative", "rng-seed-negative", "eta-empty-transport", "eta-empty-wigner",
+            "spread-poincare", "eta-file-name-collision", "eta-repeat", "eta-negative-zero", "checkpoint-repeat",
+            "waterfall-kicks-negative", "poincare-kicks-negative", "rng-seed-negative", "eta-empty-transport",
+            "eta-empty-wigner",
         ],
     )
     def test_rejected_before_running(self, tmp_path, capsys, scenario, old, new):
@@ -581,7 +592,7 @@ def non_finite_numbers(path) -> list[str]:
 
 
 class TestMutatedConfigs:
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(mutations())
     def test_every_config_ends_cleanly(self, mutation):
         """validate exits 0 or 2 with at most one stderr line; a config that validates runs

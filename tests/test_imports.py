@@ -9,9 +9,10 @@ names its import statements bind, and fails on any that no expression
 loads.  It covers __init__.py too: the package re-exports nothing, so each
 name is imported from the module that defines it.  The second fails on any
 top-level private function, class or variable of a module that the module
-itself never loads.  The third fails on any top-level public name that no
-file in src/, perfbench/ or tests/test_acceptance.py loads: a name only the
-unit tests use belongs in them.  The fourth fails on any annotated field of
+itself never loads.  The third fails on any top-level public name, and any
+public method, property or classmethod of a top-level class, that no file in
+src/, perfbench/ or tests/test_acceptance.py loads: a name only the unit
+tests use belongs in them.  The fourth fails on any annotated field of
 a dataclass in cantori whose name no attribute access in src/, tests/ or
 perfbench/ loads.  The SciPy checks run in a fresh interpreter each, since
 this one has imported SciPy long before.
@@ -75,7 +76,8 @@ def test_no_unused_private_names(path):
 
 def test_every_public_name_is_used():
     """Every module-level public name of cantori is loaded, as a name, as an attribute or by a
-    from-import, somewhere in src/, perfbench/ or tests/test_acceptance.py."""
+    from-import, and every public method, property or classmethod of a module-level class is
+    loaded as an attribute, somewhere in src/, perfbench/ or tests/test_acceptance.py."""
     loaded = set()
     for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py"), TESTS / "test_acceptance.py"]:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -85,12 +87,13 @@ def test_every_public_name_is_used():
                 loaded.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 loaded |= {alias.name for alias in node.names}
-    unused = [
-        f"{path.name}:{line} {name}"
-        for path in sorted(SRC.glob("*.py"))
-        for name, line in module_names(ast.parse(path.read_text(), filename=str(path))).items()
-        if not name.startswith("_") and name not in loaded
-    ]
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {f"{cls.name}.{item.name}": item.lineno for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for item in cls.body if isinstance(item, ast.FunctionDef)}
+        unused += [f"{path.name}:{line} {name}" for name, line in {**module_names(tree), **methods}.items()
+                   if not any(part.startswith("_") for part in name.split(".")) and name.split(".")[-1] not in loaded]
     assert not unused, f"public names that only the unit tests use, or nothing: {unused}"
 
 

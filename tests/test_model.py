@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cantori.model import (
     ParameterError,
     PhysicalParams,
+    PulseTrain,
     SimParams,
     build_pulse_train,
     fourier_coefficient,
@@ -92,6 +93,17 @@ class TestPulseTrain:
             (Fraction(9, 20), False),
         ]
 
+    def test_pulses_fill_the_period(self):
+        """alpha + delta = 1 leaves no pad; alpha = delta = 1/2 also joins the pulses into one."""
+        assert build_pulse_train(Fraction(1, 2), Fraction(1, 2)).segments == ((Fraction(1), True),)
+        assert build_pulse_train(Fraction(1, 4), Fraction(3, 4)).segments == (
+            (Fraction(1, 4), True), (Fraction(1, 2), False), (Fraction(1, 4), True))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, Fraction(-1, 2)])
+    def test_refuses_non_finite_or_negative_durations(self, bad):
+        with pytest.raises(ParameterError):
+            PulseTrain(((bad, False), (1 - bad, True)))
+
     def test_durations_sum_to_one_exactly(self):
         for alpha, delta in [(Fraction(1, 7), Fraction(1, 3)), (Fraction(1, 100), Fraction(49, 100))]:
             train = build_pulse_train(alpha, delta)
@@ -105,7 +117,7 @@ class TestPulseTrain:
         with pytest.raises(ParameterError):
             build_pulse_train(Fraction(2, 5), Fraction(7, 10))   # alpha + delta > 1
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(st.fractions(min_value=Fraction(1, 200), max_value=Fraction(1, 2)),
            st.fractions(min_value=Fraction(1, 200), max_value=Fraction(1, 2)))
     def test_normalization_property(self, a, b):

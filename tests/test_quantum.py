@@ -10,10 +10,11 @@ checked against the dense orthogonal parity transform, the evolution in
 parity frames against a dense U rho U^dag loop, and the channel on the frames
 against np.roll.  The rows a kick skips by its bound are checked against the
 kick that computes them all and then flushes, and the eps^2 flush against a
-1e-90 one.  validate, purity and from_state, the density-matrix checks and
-the pure-state constructor the tests use, are defined here too.
+1e-90 one.  validate and purity, the density-matrix checks, and pure and
+from_state, the pure-state constructors the tests use, are defined here too.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,13 @@ def validate(rho: DensityMatrix) -> None:
 
 def purity(rho: DensityMatrix) -> float:
     return float(np.real(np.trace(rho.matrix @ rho.matrix)))
+
+
+def pure(N: int, n: int) -> DensityMatrix:
+    """Momentum eigenstate |n><n|."""
+    m = np.zeros((N, N), dtype=complex)
+    m[n + N // 2, n + N // 2] = 1.0
+    return DensityMatrix(m)
 
 
 def from_state(psi) -> DensityMatrix:
@@ -153,7 +161,7 @@ class TestFloquet:
         """cos coupling commutes with n -> -n (mod N); |0> populations stay even."""
         N = 32
         flo = build_floquet(N, 20.0, 2.6, paper_train)
-        rho = DensityMatrix.pure(N, 0)
+        rho = pure(N, 0)
         rec = evolve_density(rho, flo, 0.0, 10)
         p = rec.populations[-1]
         n = momentum_ladder(N)
@@ -197,7 +205,7 @@ class TestDarkFactors:
 
 class TestDensityMatrix:
     def test_pure_and_mixed(self):
-        rho = DensityMatrix.pure(8, -2)
+        rho = pure(8, -2)
         validate(rho)
         assert purity(rho) == pytest.approx(1.0)
         assert np.real(np.diag(rho.matrix))[2] == 1.0
@@ -222,7 +230,7 @@ class TestDensityMatrix:
             DensityMatrix.thermal(16, 2.6, sigma)
 
     def test_thermal_at_zero_width_is_the_n0_state(self):
-        assert np.array_equal(DensityMatrix.thermal(16, 2.6, 0.0).matrix, DensityMatrix.pure(16, 0).matrix)
+        assert np.array_equal(DensityMatrix.thermal(16, 2.6, 0.0).matrix, pure(16, 0).matrix)
 
     def test_from_state_normalises(self):
         rho = from_state(np.array([3.0, 0.0, 0.0, 4.0]))
@@ -245,7 +253,7 @@ class TestDensityMatrix:
 
 class TestDecoherence:
     def test_eta_one_pure_state(self):
-        rho = apply_decoherence(DensityMatrix.pure(8, 0), 1.0)
+        rho = apply_decoherence(pure(8, 0), 1.0)
         p = np.real(np.diag(rho.matrix))
         n = momentum_ladder(8)
         expected = np.zeros(8)
@@ -267,7 +275,7 @@ class TestDecoherence:
         assert np.array_equal(out.matrix, rho.matrix)
 
     def test_eta_out_of_range(self):
-        rho = DensityMatrix.pure(4, 0)
+        rho = pure(4, 0)
         for eta in (-0.1, 1.1):
             with pytest.raises(ParameterError):
                 apply_decoherence(rho, eta)
@@ -277,7 +285,7 @@ class TestDecoherence:
         three-point convolution walk (eta/2, 1-eta, eta/2)."""
         N, eta, steps = 32, 0.4, 5
         flo = build_floquet(N, 0.0, 2.6, paper_train)
-        rec = evolve_density(DensityMatrix.pure(N, 0), flo, eta, steps)
+        rec = evolve_density(pure(N, 0), flo, eta, steps)
         kernel = np.array([0.5 * eta, 1.0 - eta, 0.5 * eta])
         walk = np.array([1.0])
         for _ in range(steps):
@@ -291,7 +299,7 @@ class TestEvolution:
     def test_record_shapes_and_checkpoints(self, paper_train):
         N = 16
         flo = build_floquet(N, 5.0, 2.6, paper_train)
-        rec = evolve_density(DensityMatrix.pure(N, 0), flo, 0.1, 6, checkpoint_kicks=(0, 3, 6))
+        rec = evolve_density(pure(N, 0), flo, 0.1, 6, checkpoint_kicks=(0, 3, 6))
         assert rec.populations.shape == (7, N)
         assert list(rec.kicks) == list(range(7))
         assert set(rec.checkpoints) == {0, 3, 6}
@@ -304,7 +312,7 @@ class TestEvolution:
         """A strong kick on a tiny ladder floods the edges; the record notices."""
         N = 8
         flo = build_floquet(N, 30.0, 2.6, paper_train)
-        rec = evolve_density(DensityMatrix.pure(N, 0), flo, 0.0, 10)
+        rec = evolve_density(pure(N, 0), flo, 0.0, 10)
         assert rec.edge_population_max == pytest.approx(
             rec.populations[:, [0, -1]].max()
         )
@@ -314,7 +322,7 @@ class TestEvolution:
         flo = build_floquet(8, 5.0, 2.6, paper_train)
         for eta in (-0.1, 1.1):
             with pytest.raises(ParameterError, match="eta"):
-                evolve_density(DensityMatrix.pure(8, 0), flo, eta, 0)
+                evolve_density(pure(8, 0), flo, eta, 0)
 
     @pytest.mark.parametrize(
         "size,n_kicks,checkpoints,match",
@@ -324,7 +332,7 @@ class TestEvolution:
     def test_rejects_bad_input(self, paper_train, size, n_kicks, checkpoints, match):
         flo = build_floquet(8, 5.0, 2.6, paper_train)
         with pytest.raises(ParameterError, match=match):
-            evolve_density(DensityMatrix.pure(size, 0), flo, 0.1, n_kicks, checkpoint_kicks=checkpoints)
+            evolve_density(pure(size, 0), flo, 0.1, n_kicks, checkpoint_kicks=checkpoints)
 
     def test_state_stays_physical(self, paper_train):
         N = 32
@@ -425,7 +433,7 @@ class TestParityBlocks:
     @pytest.mark.parametrize(
         "make_rho,k,edge",
         [
-            (lambda: DensityMatrix.pure(8, -2), 25.0, None),
+            (lambda: pure(8, -2), 25.0, None),
             (
                 lambda: from_state(
                     np.random.default_rng(3).normal(size=32) + 1j * np.random.default_rng(4).normal(size=32)
@@ -437,7 +445,7 @@ class TestParityBlocks:
             # Support |n| <= 58 of 64 at every kick: the blocks are evolved on a partial window.
             (lambda: DensityMatrix.thermal(128, 2.6, 3.0), 10.0, "empty"),
             # Support across the ladder edge from the first kick: the channel wraps.
-            (lambda: DensityMatrix.pure(16, 5), 25.0, "occupied"),
+            (lambda: pure(16, 5), 25.0, "occupied"),
             # |0><-30|: the occupied rows and columns differ, and the window must hold both.
             (lambda: DensityMatrix(np.outer(np.eye(128)[64], np.eye(128)[34])), 10.0, "empty"),
             # The paper's kick on a wider ladder: the row bound skips up to 30 rows a kick.
@@ -561,13 +569,23 @@ class TestParityBlocks:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_operator(self, bad):
-        """A NaN compares false with the parity tolerance, so finiteness has its own check."""
-        with pytest.raises(ParameterError, match="not finite"):
-            FloquetOperator(np.full((8, 8), bad, complex))
-        u = np.eye(8, dtype=complex)
-        u[3, 3] = bad
-        with pytest.raises(ParameterError, match="not finite"):
-            FloquetOperator(u)
+        """A NaN compares false with the parity tolerance, so finiteness has its own check,
+        and the refusal raises no NumPy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="not finite"):
+                FloquetOperator(np.full((8, 8), bad, complex))
+            u = np.eye(8, dtype=complex)
+            u[3, 3] = bad
+            with pytest.raises(ParameterError, match="not finite"):
+                FloquetOperator(u)
+
+    def test_rejects_operator_whose_fold_overflows(self):
+        """A finite operator whose parity frames overflow is refused as not finite, without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="not finite"):
+                FloquetOperator(np.full((8, 8), 1e308, complex))
 
     def test_overflowing_operator_is_refused_where_built(self, paper_train):
         with pytest.raises(ParameterError, match="not finite"), np.errstate(all="ignore"):

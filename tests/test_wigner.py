@@ -15,7 +15,7 @@ from cantori.wigner import (
     toroidal_wigner,
 )
 
-from test_quantum import apply_decoherence, from_state
+from test_quantum import apply_decoherence, from_state, pure
 
 
 def random_density(N, seed):
@@ -84,7 +84,7 @@ def states(N):
     rng = np.random.default_rng(N)
     return {
         "thermal": DensityMatrix.thermal(N, 2.6, 3.0),
-        "pure": DensityMatrix.pure(N, -1),
+        "pure": pure(N, -1),
         "from_state": from_state(rng.normal(size=N) + 1j * rng.normal(size=N)),
         "coherence": coherence(N, -N // 2, N // 2 - 1),
     }
@@ -130,7 +130,7 @@ class TestTransform:
     def test_eigenstate_row(self):
         """|0><0| gives a flat unit row at P = 0 and total weight 2N."""
         N = 8
-        grid = toroidal_wigner(DensityMatrix.pure(N, 0), 2.6)
+        grid = toroidal_wigner(pure(N, 0), 2.6)
         row = grid.values[N]  # l = 0
         assert np.allclose(row, 1.0)
         assert grid.values.sum() == pytest.approx(2 * N)
@@ -156,7 +156,7 @@ class TestCoarseWigner:
     @pytest.mark.parametrize("state", ["thermal", "pure", "from_state", "coherence"])
     def test_matches_coarse_grained_grid(self, N, state):
         rho = states(N)[state]
-        ref = toroidal_wigner(rho, 2.6).coarse()
+        ref = coarse_grain(toroidal_wigner(rho, 2.6).values)
         coarse = coarse_wigner(rho, 2.6)
         assert coarse.shape == (N, N) and coarse.dtype == np.float64
         assert np.abs(coarse - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -192,7 +192,7 @@ class TestCoarseGrain:
     def test_maximally_mixed_is_flat(self):
         N = 16
         grid = toroidal_wigner(DensityMatrix(np.eye(N) / N), 2.6)
-        coarse = grid.coarse()
+        coarse = coarse_grain(grid.values)
         assert np.ptp(coarse) < 1e-12
         assert coarse.mean() == pytest.approx(1.0 / (2 * N))
 
