@@ -4,9 +4,11 @@ Configs are flat key-value INI text.  The [run] section names the scenario
 and output root, [params] carries the SimParams fields, and an optional
 section named after the scenario carries the options SCENARIOS lists for it.
 An optional [physical] section derives kick_strength and scaled_planck from
-laboratory parameters, overriding the [params] values.  Unknown sections and
-keys are rejected, and parse_config parses every option of the scenario once,
-fallbacks included, into RunConfig.options before anything runs.
+laboratory parameters, overriding the [params] values.  One table, _SCHEMA,
+names the parser of every key of every section: parse_config refuses any other
+section or key and parses every written value of every section once, then the
+chosen scenario's options take their fallbacks, all before anything runs.
+Unreadable config text (not UTF-8, or not INI) is refused like a bad value.
 
 A scenario computes and writes nothing: it is a generator of its RunConfig
 that yields one (name, templates, data, header) table per output file.
@@ -192,52 +194,34 @@ def _kicks(text: str) -> tuple[int, ...]:
     return kicks
 
 
-# Parsers keyed by the annotation text of the SimParams and PhysicalParams fields.
-_FIELD_PARSERS = {"float": _finite, "int": int, "Fraction": Fraction, "tuple[float, float, float]": _floats}
-
-
-def _read_fields(cp: configparser.ConfigParser, section: str, cls) -> dict:
-    """Parse the keys of [section], each of which names a field of the dataclass cls."""
-    if section not in cp:
-        return {}
-    types = {f.name: f.type for f in fields(cls)}
-    return {
-        key: _parse(f"[{section}] {key}", _FIELD_PARSERS[types[key]], text)
-        for key, text in cp[section].items()
-    }
-
-
 def parse_config(text: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    written = {}        # section -> key -> parsed value; an empty scenario option is left to its fallback
     try:
         cp.read_string(text)
+        for section in cp.sections():
+            parsers = _SCHEMA.get(section)
+            if parsers is None:
+                raise ConfigError(f"unknown section [{section}]; known: {', '.join(_SCHEMA)}")
+            unknown = [key for key in cp[section] if key not in parsers]
+            if unknown:
+                raise ConfigError(f"[{section}] unknown key {unknown[0]!r}; known: {', '.join(parsers)}")
+            written[section] = {key: _parse(f"[{section}] {key}", parsers[key], value)
+                                for key, value in cp[section].items() if value or section not in SCENARIOS}
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
 
-    known = {
-        "run": ["scenario", "output_dir"],
-        "params": [f.name for f in fields(SimParams)],
-        "physical": [f.name for f in fields(PhysicalParams)],
-        **{name: list(sc.options) for name, sc in SCENARIOS.items()},
-    }
-    for section in cp.sections():
-        if section not in known:
-            raise ConfigError(f"unknown section [{section}]; known: {', '.join(known)}")
-        unknown = [key for key in cp[section] if key not in known[section]]
-        if unknown:
-            raise ConfigError(f"[{section}] unknown key {unknown[0]!r}; known: {', '.join(known[section])}")
-
-    if "run" not in cp:
+    if "run" not in written:
         raise ConfigError("missing [run] section")
-    scenario = cp["run"].get("scenario", "").strip()
+    scenario = written["run"].get("scenario", "")
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; known: {', '.join(sorted(SCENARIOS))}")
-    output_dir = cp["run"].get("output_dir", "runs").strip()
+    output_dir = written["run"].get("output_dir", "runs")
 
-    values = {"kick_strength": 270.0, "scaled_planck": 2.6, **_read_fields(cp, "params", SimParams)}
-    if "physical" in cp:
+    values = written.get("params", {})
+    if "physical" in written:
         try:
-            physical = PhysicalParams(**_read_fields(cp, "physical", PhysicalParams))
+            physical = PhysicalParams(**written["physical"])
         except (TypeError, ParameterError) as exc:
             raise ConfigError(f"[physical]: {exc}") from None
         values.update(zip(("kick_strength", "scaled_planck"), physical_to_scaled(physical)))
@@ -255,15 +239,13 @@ def parse_config(text: str) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(f"[params] {exc}") from None
 
-    extra = dict(cp[scenario]) if scenario in cp else {}
-    options = {
-        name: _parse(f"[{scenario}] {name}", spec.parse, extra.get(name) or spec.fallback.format_map(vars(params)))
-        for name, spec in SCENARIOS[scenario].options.items()
-    }
+    chosen = written.get(scenario, {})
+    options = {name: chosen[name] if name in chosen else spec.parse(spec.fallback.format_map(vars(params)))
+               for name, spec in SCENARIOS[scenario].options.items()}
     # Beyond the last ladder site the quantum fraction outside reads 0 by construction.
     if scenario == "transport" and options["boundary_over_pi"] * np.pi >= edge:
         raise ConfigError(f"[transport] boundary_over_pi: boundary at or beyond the ladder edge {edge:.6g}")
-    return RunConfig(scenario, output_dir, params, extra, options)
+    return RunConfig(scenario, output_dir, params, dict(cp[scenario]) if scenario in cp else {}, options)
 
 
 # Rows that _write_rows formats with one % operation: large enough to amortise
@@ -444,6 +426,18 @@ SCENARIOS = {
 }
 
 
+# Parsers keyed by the annotation text of the SimParams and PhysicalParams fields.
+_FIELD_PARSERS = {"float": _finite, "int": int, "Fraction": Fraction, "tuple[float, float, float]": _floats}
+
+# Section -> key -> parser: the keys parse_config accepts, and how it parses each written value.
+_SCHEMA = {
+    "run": {"scenario": str, "output_dir": str},
+    **{section: {f.name: _FIELD_PARSERS[f.type] for f in fields(cls)}
+       for section, cls in (("params", SimParams), ("physical", PhysicalParams))},
+    **{name: {key: option.parse for key, option in sc.options.items()} for name, sc in SCENARIOS.items()},
+}
+
+
 def run_scenario(cfg: RunConfig, stamp: str | None = None) -> tuple[Path, RunManifest]:
     """Execute a scenario; returns (run directory, manifest).
 
@@ -493,12 +487,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        text = args.config.read_text()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 4
-    try:
-        cfg = parse_config(text)
+        cfg = parse_config(args.config.read_text(encoding="utf-8"))
         if args.command == "validate":
             print(f"ok: scenario={cfg.scenario} digest={cfg.digest()[:12]}")
             return 0
@@ -506,8 +495,9 @@ def main(argv=None) -> int:
         # runner, the writer), so NumPy's warnings would only repeat the error line.
         with np.errstate(all="ignore"):
             outdir, manifest = run_scenario(cfg)
-    except (ConfigError, ParameterError) as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
+    except (ConfigError, ParameterError, UnicodeDecodeError) as exc:
+        # One line: configparser's messages and multi-line values hold newlines.
+        print(f"error: invalid config: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
     except (classical.NumericalDomainError, classical.StatisticsError) as exc:
         print(f"error: compute failed in scenario {cfg.scenario}: {exc}", file=sys.stderr)

@@ -65,7 +65,7 @@ class PhysicalParams:
             warnings.warn(
                 "rabi_frequency exceeds 10% of the smallest detuning; "
                 "adiabatic elimination may be inaccurate",
-                stacklevel=2,
+                stacklevel=3,       # the caller of the generated __init__
             )
 
     def effective_rabi(self) -> float:
@@ -90,8 +90,8 @@ def physical_to_scaled(p: PhysicalParams) -> tuple[float, float]:
 class SimParams:
     """Dimensionless run parameters.
 
-    kick_strength       : k
-    scaled_planck       : hbar_k
+    kick_strength       : k, default 270 (the caesium experiment's value)
+    scaled_planck       : hbar_k, default 2.6 (caesium at a 25 us period)
     se_probability      : per-cycle spontaneous-emission probability eta
     pulse_width         : alpha, as a fraction of the period
     pulse_spacing       : delta (pulse-center separation), fraction of the period
@@ -104,8 +104,8 @@ class SimParams:
                           trajectory and the density matrix share one k
     """
 
-    kick_strength: float
-    scaled_planck: float
+    kick_strength: float = 270.0
+    scaled_planck: float = 2.6
     se_probability: float = 0.0
     pulse_width: Fraction = Fraction(1, 20)
     pulse_spacing: Fraction = Fraction(1, 10)

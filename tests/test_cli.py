@@ -117,6 +117,10 @@ class TestParse:
         for name, scenario in SCENARIOS.items():
             assert set(cp[name]) == set(scenario.options), name
 
+    def test_run_only_config_takes_simparams_defaults(self):
+        """Every [params] fallback is a SimParams field default."""
+        assert parse_config("[run]\nscenario = transport\n").params == SimParams()
+
     def test_options_parsed(self):
         cfg = parse_config(DEFAULT_CONFIG)
         assert cfg.options == {"eta_values": (0.0, 0.0187, 0.0503), "boundary_over_pi": 10.0}
@@ -520,6 +524,10 @@ class TestStrictConfig:
             ("transport", "rng_seed = 20020", "rng_seed = -1"),
             ("transport", "eta_values = 0 0.0187 0.0503", "eta_values = ,"),
             ("wigner", "eta_values = 0 0.02", "eta_values = ,"),
+            # A bad value in the section of a scenario that does not run.
+            ("wigner", "boundary_over_pi = 10\nn_seeds", "boundary_over_pi = nan\nn_seeds"),
+            ("transport", "n_seeds = 60", "n_seeds = -5"),
+            ("flux", "checkpoint_kicks = 70", "checkpoint_kicks = 5 5"),
         ],
         ids=[
             "params-key", "section", "checkpoint-kicks", "poincare-seeds", "flux-seeds", "physical-key", "ladder",
@@ -527,7 +535,7 @@ class TestStrictConfig:
             "kick-inf", "eta-nan", "spread-transport", "spread-wigner", "spread-waterfall", "spread-flux",
             "spread-poincare", "eta-file-name-collision", "eta-repeat", "eta-negative-zero", "checkpoint-repeat",
             "waterfall-kicks-negative", "poincare-kicks-negative", "rng-seed-negative", "eta-empty-transport",
-            "eta-empty-wigner",
+            "eta-empty-wigner", "unused-flux-boundary-nan", "unused-poincare-seeds", "unused-checkpoint-repeat",
         ],
     )
     def test_rejected_before_running(self, tmp_path, capsys, scenario, old, new):
@@ -543,6 +551,28 @@ class TestStrictConfig:
             assert captured.err.startswith("error: invalid config: ")
             assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"[run]\nscenario = transport\nfoo\nbar\n",
+            b"scenario = transport\n",
+            b"[run]\nscenario = transport\n\x00\n",
+            b"\xff\xfe[run]\nscenario = transport\n",
+            b"[run]\nscenario = transport\noutput_dir = runs%\n",
+            b"[run]\nscenario = transport\n[params]\nkick_strength = 5\n  6\n",
+        ],
+        ids=["missing-equals", "no-section-header", "nul-line", "not-utf-8", "bare-percent", "continuation-line"],
+    )
+    def test_unreadable_text_is_one_line(self, tmp_path, monkeypatch, text):
+        """Config text that configparser, the UTF-8 decoder or a parser refuses: exit 2, one stderr line."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "c.ini"
+        path.write_bytes(text)
+        for command in ("validate", "run"):
+            code, err = run_main(command, str(path))
+            assert code == 2 and len(err) == 1 and err[0].startswith("error: invalid config: "), err
+        assert list(tmp_path.iterdir()) == [path]
 
 
 # DEFAULT_CONFIG at N = 16, 3 kicks, 50 trajectories, 60 poincare and 5000 flux seeds,
@@ -560,9 +590,11 @@ VALUES = st.sampled_from([
 
 @st.composite
 def mutations(draw) -> tuple[str, list[tuple[tuple[str, str], str]]]:
-    """A scenario, and one to three of its [params] or scenario keys, each with the text that replaces its value."""
+    """A scenario, and one to three [params] keys or keys of any scenario's section, each with the text
+    that replaces its value."""
     scenario = draw(st.sampled_from(sorted(SCENARIOS)))
-    keys = [("params", f.name) for f in fields(SimParams)] + [(scenario, name) for name in SCENARIOS[scenario].options]
+    keys = [("params", f.name) for f in fields(SimParams)]
+    keys += [(name, key) for name, sc in SCENARIOS.items() for key in sc.options]
     return scenario, draw(st.lists(st.tuples(st.sampled_from(keys), VALUES), min_size=1, max_size=3,
                                    unique_by=lambda change: change[0]))
 

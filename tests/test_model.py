@@ -22,6 +22,8 @@ from conftest import double_pulse_profile, fourier_integral_oracle
 CS_MASS = 2.2069e-25          # kg
 CS_WAVELENGTH = 852e-9        # m
 
+# Omega / min(detunings) = 3.1e8 / 2.8e9 = 0.111 > 0.1: building it warns that adiabatic
+# elimination may be inaccurate.
 CS_PARAMS = dict(
     rabi_frequency=2 * math.pi * 3.1e8,
     detunings=(2 * math.pi * 2.8e9, 2 * math.pi * 3.05e9, 2 * math.pi * 3.25e9),
@@ -34,7 +36,8 @@ CS_PARAMS = dict(
 class TestPhysicalToScaled:
     def test_caesium_scaled_planck_anchor(self):
         # Frozen regression value: 4*hbar*k_L^2*T/M for Cs at T = 25 us.
-        _, hbar_k = physical_to_scaled(PhysicalParams(**CS_PARAMS))
+        with pytest.warns(UserWarning, match="adiabatic"):
+            _, hbar_k = physical_to_scaled(PhysicalParams(**CS_PARAMS))
         assert hbar_k == pytest.approx(2.599, abs=5e-4)
 
     def test_zero_coupling_gives_zero_kick_strength(self):
@@ -44,14 +47,16 @@ class TestPhysicalToScaled:
         assert hbar_k > 0
 
     def test_period_scaling(self):
-        k1, h1 = physical_to_scaled(PhysicalParams(**CS_PARAMS))
         doubled = {**CS_PARAMS, "pulse_period": 2 * CS_PARAMS["pulse_period"]}
-        k2, h2 = physical_to_scaled(PhysicalParams(**doubled))
+        with pytest.warns(UserWarning, match="adiabatic"):
+            k1, h1 = physical_to_scaled(PhysicalParams(**CS_PARAMS))
+            k2, h2 = physical_to_scaled(PhysicalParams(**doubled))
         assert h2 == pytest.approx(2 * h1, rel=1e-14)
         assert k2 == pytest.approx(4 * k1, rel=1e-14)
 
     def test_homogeneity_in_coupling_and_detunings(self):
-        k1, _ = physical_to_scaled(PhysicalParams(**CS_PARAMS))
+        with pytest.warns(UserWarning, match="adiabatic"):
+            k1, _ = physical_to_scaled(PhysicalParams(**CS_PARAMS))
         scale = 3.7
         scaled = {
             **CS_PARAMS,
@@ -75,6 +80,12 @@ class TestPhysicalToScaled:
         marginal = {**CS_PARAMS, "detunings": tuple(d / 10 for d in CS_PARAMS["detunings"])}
         with pytest.warns(UserWarning, match="adiabatic"):
             PhysicalParams(**marginal)
+
+    def test_marginal_detuning_warning_names_the_caller(self):
+        """The warning points at the line that builds PhysicalParams, not at its generated __init__."""
+        with pytest.warns(UserWarning, match="adiabatic") as record:
+            PhysicalParams(**CS_PARAMS)
+        assert record[0].filename == __file__
 
 
 class TestPulseTrain:
