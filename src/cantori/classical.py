@@ -165,9 +165,7 @@ def _pendulum_elliptic(phi, rho, k, duration):
         s = np.clip(s, -1.0, 1.0)
         theta0 = ellipkinc(np.arcsin(s), m)
         neg = rho[lib] < 0.0
-        if np.any(neg):
-            big_k = ellipk(m)
-            theta0 = np.where(neg, 2.0 * big_k - theta0, theta0)
+        theta0[neg] = 2.0 * ellipk(m[neg]) - theta0[neg]
         sn, cn, _, _ = ellipj(theta0 + w0 * duration, m)
         out_phi[lib] = 2.0 * np.arcsin(np.clip(kappa * sn, -1.0, 1.0))
         out_rho[lib] = 2.0 * w0 * kappa * cn

@@ -19,17 +19,16 @@ orthonormal states (e_i +- e_(N-i))/sqrt(2).  The even sector holds e_0, the
 N/2 - 1 symmetric pair states and e_(N/2); the odd sector the N/2 - 1
 antisymmetric ones.  _fold takes a matrix into its parity blocks, held in
 (N/2 + 1)^2 frames, with four slice sums; _unfold takes them back.  The
-Floquet operator is built block by block in these sectors and holds only its
-two parity frames, prepared once for the kick loop; it refuses an operator
-that mixes the sectors when it is built.  evolve_density keeps rho in its
-parity frames from the first kick to the last: it conjugates each frame
-separately, a quarter of the dense N^3 work when the state has no even-odd
-coherence (every thermal state), applies the channel to the frames directly,
-reads the populations from their diagonals, and returns to the momentum basis
-only for the checkpoints.  After each kick the frame entries below eps^2 are
-flushed to zero (see _FLUSH_BELOW), and of each kick's product only the
-trailing window of rows and columns that may survive the flush is computed
-(see _surviving_from and evolve_density).
+Floquet operator is built block by block in these sectors, never as a dense
+matrix, and holds only its two parity frames, prepared once for the kick loop.
+evolve_density keeps rho in its parity frames from the first kick to the last:
+it conjugates each frame separately, a quarter of the dense N^3 work when the
+state has no even-odd coherence (every thermal state), applies the channel to
+the frames directly, reads the populations from their diagonals, and returns
+to the momentum basis only for the checkpoints.  After each kick the frame
+entries below eps^2 are flushed to zero (see _FLUSH_BELOW), and of each kick's
+product only the trailing window of rows and columns that may survive the
+flush is computed (see _surviving_from and evolve_density).
 """
 
 from __future__ import annotations
@@ -87,31 +86,25 @@ def thermal_weights(N: int, hbar_k: float, sigma: float) -> np.ndarray:
 
 
 class FloquetOperator:
-    """Single-cycle unitary U in the momentum eigenbasis, held as the two
-    parity frames (ee, oo) that evolve_density multiplies by.
-
-    The N x N matrix is folded once, here (see _fold), with NumPy's warnings
-    off.  An operator with a NaN or inf in its frames (an overflowing fold
-    leaves inf) is refused, and so is one whose even-odd frames are not zero:
-    it mixes the parity sectors, which the frame evolution cannot represent.
-    The frames are then flushed below _FLUSH_BELOW, and their fixed-point
-    columns halved: U's frames carry sqrt(2) on the fixed-point rows and
-    columns, as rho's do, and in the product U rho U^dag the columns must
-    lose it.  Only the frames are kept; .matrix rebuilds the dense U from them.
+    """Single-cycle unitary U in the momentum eigenbasis, held as complex
+    copies of its two (N/2 + 1)^2 parity frames (ee, oo) (see _fold), which
+    evolve_density multiplies by; frames that are not square, of one shape
+    and finite are refused.  The copies are flushed below _FLUSH_BELOW, and
+    their fixed-point columns halved: U's frames carry sqrt(2) on the
+    fixed-point rows and columns, as rho's do, and in the product U rho U^dag
+    the columns must lose it.  .matrix rebuilds the dense U from them.
     """
 
-    def __init__(self, matrix: np.ndarray):
-        with np.errstate(all="ignore"):
-            ee, oo, eo, oe = frames = _fold(matrix)
-        if not all(np.isfinite(f).all() for f in frames):
+    def __init__(self, ee: np.ndarray, oo: np.ndarray):
+        ee, oo = np.array(ee, complex), np.array(oo, complex)
+        if ee.ndim != 2 or ee.shape[0] != ee.shape[1] or oo.shape != ee.shape:
+            raise ParameterError(f"Floquet frames {ee.shape} and {oo.shape} are not square and of one shape")
+        if not (np.isfinite(ee).all() and np.isfinite(oo).all()):
             raise ParameterError("Floquet operator is not finite: its parity frames hold NaN or inf")
-        leak = max(np.abs(eo).max(), np.abs(oe).max())
-        if not leak <= UNITARITY_TOL:
-            raise ParameterError(f"Floquet operator breaks momentum parity: even-odd block entry {leak:.3e}")
-        self.size = len(matrix)
+        self.size = 2 * len(ee) - 2
         for f in (ee, oo):
             _flush_tiny(f)
-            f[:, [0, self.size // 2]] *= 0.5
+            f[:, [0, -1]] *= 0.5
         self.frames = (ee, oo)
 
     @property
@@ -258,7 +251,7 @@ def build_floquet(N: int, k: float, hbar_k: float, train: PulseTrain) -> Floquet
     """Single-kick evolution operator, segment propagators applied in schedule order.
 
     Each segment acts in the even and the odd parity sector separately, so the
-    assembled matrix commutes with parity exactly.  A driven segment is
+    operator is its two parity frames, exactly.  A driven segment is
     exponentiated by Hermitian eigendecomposition.  A dark one is diagonal in
     momentum, so its factor is an exact diagonal phase: it scales frame row j,
     which holds n = j - N/2, by exp(i t E_n) with t = -duration/hbar_k and
@@ -287,7 +280,7 @@ def build_floquet(N: int, k: float, hbar_k: float, train: PulseTrain) -> Floquet
         if dur not in light:
             light[dur] = (_expm_hermitian(he, t), _expm_hermitian(ho, t))
         ue, uo = light[dur][0] @ ue, light[dur][1] @ uo
-    return FloquetOperator(_unfold([ue * scale, np.pad(uo, 1)]))
+    return FloquetOperator(ue * scale, np.pad(uo, 1))
 
 
 def _channel(a: np.ndarray, b: np.ndarray, eta: float, lo: int, sign: float) -> None:

@@ -343,6 +343,18 @@ class TestMain:
         assert main(["validate", str(path)]) == 0
         assert "ok:" in capsys.readouterr().out
 
+    def test_marginal_physical_config_warns_in_one_line(self, tmp_path, monkeypatch):
+        """A [physical] Rabi frequency above 10% of the smallest detuning: one stderr line that
+        names the section, and the exit code of a clean run."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "c.ini"
+        text = DEFAULT_CONFIG.replace("scenario = transport", "scenario = waterfall") + PHYSICAL
+        path.write_text(text.replace("rabi_frequency = 1.7e9", "rabi_frequency = 1.9e9"))
+        for command in ("validate", "run"):
+            code, err = run_main(command, str(path))
+            assert code == 0 and len(err) == 1, err
+            assert err[0].startswith("warning: [physical] rabi_frequency exceeds 10% of the smallest detuning")
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.ini")]) == 4
 

@@ -134,6 +134,20 @@ def test_canonical_text_and_digest(scenario, variant):
     assert cfg.digest() == DIGESTS[scenario, variant]
 
 
+@pytest.mark.parametrize(
+    "scenario,key,spelling",
+    [("waterfall", "n_kicks", "050"), ("waterfall", "n_kicks", "+50"), ("waterfall", "n_kicks", "50 "),
+     ("transport", "boundary_over_pi", "10.0"), ("transport", "boundary_over_pi", "1e1"),
+     ("flux", "boundary_over_pi", "10.0"), ("flux", "boundary_over_pi", "1e1")],
+)
+def test_spellings_of_one_value_give_its_pinned_digest(scenario, key, spelling):
+    """A scenario option is written from its parsed value, not from its text."""
+    text = with_scenario(DEFAULT_CONFIG, scenario)
+    text, n = re.subn(rf"(?m)(^\[{scenario}\]\n(?:.+\n)*?){key} = .*$", rf"\g<1>{key} = {spelling}", text)
+    assert n == 1
+    assert parse_config(text).digest() == DIGESTS[scenario, "full"]
+
+
 def test_run_only_config_canonical():
     cfg = parse_config("[run]\nscenario = transport\n")
     assert cfg.canonical() == RUN_ONLY_CANONICAL

@@ -551,41 +551,39 @@ class TestParityBlocks:
         swap[[0, h]] = h, 0
         weights = np.zeros(N)
         weights[[2, N - 2, h]] = 0.25, 0.25, 0.5
-        flo = FloquetOperator(np.eye(N, dtype=complex)[swap])
+        flo = FloquetOperator(*_fold(np.eye(N, dtype=complex)[swap])[:2])
         rec = evolve_density(DensityMatrix(np.diag(weights)), flo, 0.0, 1)
         np.testing.assert_allclose(rec.populations[1], weights[swap], atol=1e-15)
 
-    @pytest.mark.parametrize(
-        "u",
-        [np.diag(np.exp(1j * np.arange(8.0))), np.roll(np.eye(8), 1, axis=0)],
-        ids=["diagonal-phases", "ladder-shift"],
-    )
-    def test_rejects_parity_breaking_operator(self, u):
-        """A unitary that mixes even and odd states is refused when the operator is built."""
-        u = u.astype(complex)
-        assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-15
-        with pytest.raises(ParameterError, match="parity"):
-            FloquetOperator(u)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_operator(self, bad):
-        """A NaN compares false with the parity tolerance, so finiteness has its own check,
-        and the refusal raises no NumPy warning."""
+        """Frames holding a NaN or an inf are refused, and the refusal raises no NumPy warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="not finite"):
-                FloquetOperator(np.full((8, 8), bad, complex))
-            u = np.eye(8, dtype=complex)
-            u[3, 3] = bad
+                FloquetOperator(np.full((5, 5), bad, complex), np.zeros((5, 5)))
+            oo = np.eye(5, dtype=complex)
+            oo[3, 3] = bad
             with pytest.raises(ParameterError, match="not finite"):
-                FloquetOperator(u)
+                FloquetOperator(np.eye(5), oo)
 
-    def test_rejects_operator_whose_fold_overflows(self):
-        """A finite operator whose parity frames overflow is refused as not finite, without a warning."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="not finite"):
-                FloquetOperator(np.full((8, 8), 1e308, complex))
+    @pytest.mark.parametrize(
+        "ee,oo",
+        [((5, 4), (5, 4)), ((5, 5), (4, 4)), ((5,), (5,)), ((5, 5, 5), (5, 5, 5))],
+        ids=["not-square", "shapes-differ", "one-axis", "three-axes"],
+    )
+    def test_rejects_frames_of_the_wrong_shape(self, ee, oo):
+        with pytest.raises(ParameterError, match="not square and of one shape"):
+            FloquetOperator(np.zeros(ee, complex), np.zeros(oo, complex))
+
+    def test_callers_frames_are_left_unmodified(self, paper_train):
+        """The operator flushes and halves copies of the frames it is given."""
+        ee, oo = _fold(build_floquet(16, 40.0, 2.6, paper_train).matrix)[:2]
+        ee[2, 5] = oo[3, 6] = 1e-40
+        given = ee.copy(), oo.copy()
+        flo = FloquetOperator(ee, oo)
+        assert np.array_equal(ee, given[0]) and np.array_equal(oo, given[1])
+        assert flo.frames[0][2, 5] == 0 and flo.frames[1][3, 6] == 0
 
     def test_overflowing_operator_is_refused_where_built(self, paper_train):
         with pytest.raises(ParameterError, match="not finite"), np.errstate(all="ignore"):

@@ -1,10 +1,16 @@
 """Tests for the toroidal Wigner transform and its coarse-grained diagnostics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cantori
 from cantori.model import ParameterError
-from cantori.quantum import DensityMatrix
+from cantori.quantum import DensityMatrix, build_floquet, evolve_density
 from cantori.wigner import (
     WignerGrid,
     coarse_axes,
@@ -166,6 +172,28 @@ class TestCoarseWigner:
     def test_bitwise_equal_to_indexed_gather(self, N, state):
         rho = states(N)[state]
         assert np.array_equal(coarse_wigner(rho, 2.6), coarse_wigner_indexed(rho, 2.6))
+
+    def test_blas_thread_count_moves_the_n512_grid_by_rounding_only(self, paper_train, tmp_path):
+        """The N = 512 evolution and coarse grid of the wigner scenario in a child process with
+        OPENBLAS_NUM_THREADS=1 agree with this process's run to ATOL: the products' BLAS splits
+        reorder sums, so the bytes repeat only at one thread setting, and the values agree to
+        rounding (measured at about 1e-16 on grid values of up to 0.05)."""
+        ATOL = 1e-14
+        script = (
+            "import sys, numpy as np\n"
+            "from cantori import quantum, wigner\n"
+            "from cantori.model import build_pulse_train\n"
+            "rho0 = quantum.DensityMatrix.thermal(512, 2.6, 10.0)\n"
+            "flo = quantum.build_floquet(512, 270.0, 2.6, build_pulse_train('1/20', '1/10'))\n"
+            "rec = quantum.evolve_density(rho0, flo, 0.0187, 70, (70,))\n"
+            "np.save(sys.argv[1], wigner.coarse_wigner(rec.checkpoints[70], 2.6))\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(cantori.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "one.npy")], env=env, check=True, timeout=120)
+        rho0 = DensityMatrix.thermal(512, 2.6, 10.0)
+        rec = evolve_density(rho0, build_floquet(512, 270.0, 2.6, paper_train), 0.0187, 70, (70,))
+        here = coarse_wigner(rec.checkpoints[70], 2.6)
+        np.testing.assert_allclose(np.load(tmp_path / "one.npy"), here, rtol=0, atol=ATOL)
 
     @pytest.mark.parametrize("where", [(0, 1), (2, 0), (1, 3)])
     def test_non_hermitian_raises(self, where):
