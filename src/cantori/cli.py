@@ -19,13 +19,15 @@ which refuses a table holding a NaN or an infinity before writing any of it.
 
 All outputs of one run land in a single directory named by timestamp plus a
 digest of the canonical config; a manifest.json listing every output file
-with its SHA-256 digest is written last.  The run writes into a temporary
-sibling directory that takes the final name only once the manifest is
-written, so a failed run leaves nothing behind.  Data files contain no
-timestamps, so identical config + seed reproduce byte-identical data on the
-same NumPy/BLAS build at the same BLAS thread setting.  Across thread settings
-the BLAS products sum in another order: at N = 512 the Wigner grid values
-agree to about 1e-15 absolute, and a few of their 10-digit texts differ.
+with its SHA-256 digest is written last, beside the run's wall-clock time
+and the environment the bytes depend on (see _environment).  The run writes
+into a temporary sibling directory that takes the final name only once the
+manifest is written, so a failed run leaves nothing behind.  Data files
+contain no timestamps, so identical config + seed reproduce byte-identical
+data on the same NumPy/BLAS build at the same BLAS thread setting.  Across
+thread settings the BLAS products sum in another order: at N = 512 the
+Wigner grid values agree to about 1e-15 absolute, and a few of their
+10-digit texts differ.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import configparser
 import hashlib
 import json
 import math
+import os
+import platform
 import shutil
 import sys
 import time
@@ -135,6 +139,7 @@ class RunManifest:
     config_canonical: str
     version: str
     wall_clock_s: float
+    environment: dict
     files: dict[str, str]            # relative path -> sha256
 
     def write(self, path: Path) -> None:
@@ -142,9 +147,24 @@ class RunManifest:
             "config": self.config_canonical,
             "version": self.version,
             "wall_clock_s": self.wall_clock_s,
+            "environment": self.environment,
             "files": dict(sorted(self.files.items())),
         }
         path.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _environment() -> dict:
+    """What the output bytes depend on beyond the config: the Python, NumPy and BLAS builds,
+    the cores this process may use and the *_NUM_THREADS variables as set."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "usable_cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "thread_env": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+    }
 
 
 def _text(value) -> str:
@@ -477,7 +497,7 @@ def run_scenario(cfg: RunConfig, stamp: str | None = None) -> tuple[Path, RunMan
         for name, templates, data, header in SCENARIOS[cfg.scenario].run(cfg):
             _write_rows(partial, name, templates, data, header, files)
             del data        # freed before the scenario computes its next table
-        manifest = RunManifest(cfg.canonical(), __version__, time.monotonic() - t0, files)
+        manifest = RunManifest(cfg.canonical(), __version__, time.monotonic() - t0, _environment(), files)
         manifest.write(partial / "manifest.json")
         partial.rename(outdir)
     except BaseException:

@@ -182,6 +182,22 @@ class TestRunScenario:
         outdir, _ = run_scenario(cfg)
         assert (outdir / "waterfall.dat").read_text().splitlines()[0].endswith(", eta=0")
 
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        """manifest.json holds, beside wall_clock_s, the builds, cores and *_NUM_THREADS the bytes depend on."""
+        monkeypatch.setenv("MKL_NUM_THREADS", "1")
+        outdir, _ = run_scenario(parse_config(TINY.format(out=tmp_path)), stamp="env")
+        env = json.loads((outdir / "manifest.json").read_text())["environment"]
+        assert set(env) == {"python", "numpy", "blas", "blas_version", "usable_cores", "thread_env"}
+        assert env["numpy"] == np.__version__ and env["usable_cores"] >= 1
+        assert env["thread_env"]["MKL_NUM_THREADS"] == "1"
+
+    def test_wigner_without_negative_cells_writes_zero(self, tmp_path):
+        """The thermal start has no negative cell: its negativity is written 0, not -0."""
+        text = (f"[run]\nscenario = wigner\noutput_dir = {tmp_path}\n\n"
+                "[params]\nbasis_size = 16\nn_kicks = 5\n\n[wigner]\neta_values = 0\ncheckpoint_kicks = 0 5\n")
+        outdir, _ = run_scenario(parse_config(text))
+        assert (outdir / "negativity.dat").read_text().splitlines()[1] == "0 0 0 wigner_eta_0_kick_0.dat"
+
     def test_determinism(self, tmp_path):
         cfg1 = parse_config(TINY.format(out=tmp_path / "a"))
         cfg2 = parse_config(TINY.format(out=tmp_path / "b"))

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,16 @@ def coarse_wigner_indexed(rho, hbar_k):
     return w.real.T.copy()
 
 
+# (index, value) of the non-finite entry in np.eye(4) / 4.
+NON_FINITE = [pytest.param((1, 2), np.nan, id="nan"), pytest.param((0, 0), np.inf, id="inf")]
+
+
+def eye_with(where, value):
+    m = np.eye(4, dtype=complex) / 4
+    m[where] = value
+    return DensityMatrix(m)
+
+
 def coherence(N, n, m):
     """|n><m| + |m><n| on ladder values n != m: Hermitian, off-diagonal, trace 0."""
     out = np.zeros((N, N), dtype=complex)
@@ -148,6 +159,11 @@ class TestTransform:
         with pytest.raises(ParameterError):
             toroidal_wigner(DensityMatrix(m), 2.6)
 
+    @pytest.mark.parametrize("where,value", NON_FINITE)
+    def test_non_finite_raises(self, where, value):
+        with pytest.raises(ParameterError, match="not finite"):
+            toroidal_wigner(eye_with(where, value), 2.6)
+
     @pytest.mark.parametrize("N", [2, 4, 16, 128])
     @pytest.mark.parametrize("state", ["thermal", "pure", "from_state", "coherence"])
     def test_bitwise_equal_to_meshgrid_form(self, N, state):
@@ -167,11 +183,26 @@ class TestCoarseWigner:
         assert coarse.shape == (N, N) and coarse.dtype == np.float64
         assert np.abs(coarse - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("N", [2, 4, 6, 16, 128])
+    # 130: N/2 is odd; 512: more rows than one gathered block.
+    @pytest.mark.parametrize("N", [2, 4, 6, 16, 128, 130, 512])
     @pytest.mark.parametrize("state", ["thermal", "pure", "from_state", "coherence"])
     def test_bitwise_equal_to_indexed_gather(self, N, state):
         rho = states(N)[state]
         assert np.array_equal(coarse_wigner(rho, 2.6), coarse_wigner_indexed(rho, 2.6))
+
+    def test_transient_stays_under_four_matrices(self):
+        """One N = 512 call holds at most the row-doubled flat copy and the folded sum
+        beyond its input: under 4x the matrix's bytes, which the 2N x 2N tile alone would reach."""
+        rho = DensityMatrix.thermal(512, 2.6, 10.0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            coarse_wigner(rho, 2.6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * rho.matrix.nbytes
 
     def test_blas_thread_count_moves_the_n512_grid_by_rounding_only(self, paper_train, tmp_path):
         """The N = 512 evolution and coarse grid of the wigner scenario in a child process with
@@ -201,6 +232,11 @@ class TestCoarseWigner:
         m[where] = 0.5
         with pytest.raises(ParameterError):
             coarse_wigner(DensityMatrix(m), 2.6)
+
+    @pytest.mark.parametrize("where,value", NON_FINITE)
+    def test_non_finite_raises(self, where, value):
+        with pytest.raises(ParameterError, match="not finite"):
+            coarse_wigner(eye_with(where, value), 2.6)
 
 
 class TestCoarseGrain:
