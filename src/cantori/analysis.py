@@ -42,8 +42,10 @@ def fraction_outside_quantum(populations: np.ndarray, hbar_k: float, boundary: f
 
 
 def transport_curve_classical(record, boundary: float) -> TransportCurve:
-    """Fraction-outside curve from a TrajectoryRecord."""
-    frac = np.mean(np.abs(record.rho) > boundary, axis=1)
+    """Fraction-outside curve from a TrajectoryRecord; counts each kick's |rho| > boundary
+    without a full-size |rho| copy."""
+    rho = record.rho
+    frac = np.count_nonzero((rho > boundary) | (rho < -boundary), axis=1) / rho.shape[1]
     return TransportCurve(record.kicks.copy(), frac)
 
 

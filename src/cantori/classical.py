@@ -8,7 +8,9 @@ pendulum backends are provided:
                   amplitude and phase matched to each trajectory by inverting
                   the elliptic integral; falls back to substepping within a
                   narrow band around the separatrix where the inversion is
-                  ill-conditioned.
+                  ill-conditioned.  Libration and rotation share one
+                  elementwise path: each trajectory takes the parameter m of
+                  its regime, and np.where picks each output from both.
 * "symplectic" -- 4th-order Yoshida composition of 256 substeps of length
                   duration/256.
 
@@ -138,7 +140,13 @@ def _pendulum_elliptic(phi, rho, k, duration):
     with m = kappa^2 = (E + k)/(2k) and theta advancing at sqrt(k).
     Rotation (E > k):   phi/2 = am(theta, m), rho = sigma (2 sqrt(k)/kappa) dn,
     with m = kappa^2 = 2k/(E + k) and theta advancing at sigma sqrt(k)/kappa.
-    phi and rho are float arrays of one shape.
+    phi and rho are float arrays of one shape.  One path serves both regimes:
+    each element takes the m and the ellipkinc amplitude of its regime, one
+    ellipkinc and one ellipj call cover every element, and np.where picks each
+    output.  np.where evaluates both regimes everywhere, and rotation divides by
+    zero at the bottom of the well (m_lib = 0), so divide and invalid are ignored
+    in that block only; energy and m_lib run under the caller's np.errstate.
+    Elements within _SEPARATRIX_BAND of the separatrix are redone by substeps.
     """
     # Imported on first use so that importing cantori does not load SciPy.  The
     # import system locks each module while it loads, so a first call on
@@ -149,41 +157,24 @@ def _pendulum_elliptic(phi, rho, k, duration):
     phin = _wrap_centered(phi)
     energy = 0.5 * rho**2 - k * np.cos(phin)
     m_lib = (energy + k) / (2.0 * k)      # <1 libration, >1 rotation
-
-    out_phi = np.empty_like(phin)
-    out_rho = np.empty_like(rho)
+    lib = m_lib < 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(lib, m_lib, 1.0 / m_lib)
+        kappa = np.sqrt(m)
+        s = np.clip(np.where(kappa > 0.0, np.sin(phin / 2.0) / kappa, 0.0), -1.0, 1.0)
+        # asarray: ellipkinc returns a scalar, not a writable array, for 0-d input.
+        theta0 = np.asarray(ellipkinc(np.where(lib, np.arcsin(s), phin / 2.0), m))
+        neg = lib & (rho < 0.0)
+        theta0[neg] = 2.0 * ellipk(m[neg]) - theta0[neg]
+        speed = np.where(lib, w0, np.where(rho >= 0.0, 1.0, -1.0) * (w0 / kappa))
+        sn, cn, dn, ph = ellipj(theta0 + speed * duration, m)
+        out_phi = np.where(lib, 2.0 * np.arcsin(np.clip(kappa * sn, -1.0, 1.0)), 2.0 * ph)
+        # Scaling by 2 and sigma is exact, so 2 * speed equals the rotation's sigma * 2 * (w0 / kappa).
+        out_rho = np.where(lib, 2.0 * w0 * kappa * cn, 2.0 * speed * dn)
 
     near_sep = np.abs(m_lib - 1.0) < _SEPARATRIX_BAND
-    lib = (m_lib < 1.0) & ~near_sep
-    rot = (m_lib > 1.0) & ~near_sep
-
-    if np.any(lib):
-        m = m_lib[lib]
-        kappa = np.sqrt(m)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s = np.where(kappa > 0.0, np.sin(phin[lib] / 2.0) / np.where(kappa > 0, kappa, 1.0), 0.0)
-        s = np.clip(s, -1.0, 1.0)
-        theta0 = ellipkinc(np.arcsin(s), m)
-        neg = rho[lib] < 0.0
-        theta0[neg] = 2.0 * ellipk(m[neg]) - theta0[neg]
-        sn, cn, _, _ = ellipj(theta0 + w0 * duration, m)
-        out_phi[lib] = 2.0 * np.arcsin(np.clip(kappa * sn, -1.0, 1.0))
-        out_rho[lib] = 2.0 * w0 * kappa * cn
-
-    if np.any(rot):
-        m = 1.0 / m_lib[rot]
-        kappa = np.sqrt(m)
-        sigma = np.where(rho[rot] >= 0.0, 1.0, -1.0)
-        theta0 = ellipkinc(phin[rot] / 2.0, m)
-        _, _, dn, ph = ellipj(theta0 + sigma * (w0 / kappa) * duration, m)
-        out_phi[rot] = 2.0 * ph
-        out_rho[rot] = sigma * 2.0 * (w0 / kappa) * dn
-
     if np.any(near_sep):
-        p, r = _pendulum_symplectic(phin[near_sep], rho[near_sep], k, duration)
-        out_phi[near_sep] = p
-        out_rho[near_sep] = r
-
+        out_phi[near_sep], out_rho[near_sep] = _pendulum_symplectic(phin[near_sep], rho[near_sep], k, duration)
     return np.mod(out_phi, TWO_PI), out_rho
 
 

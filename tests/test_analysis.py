@@ -1,6 +1,7 @@
 """Tests for transport metrics."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,6 +123,24 @@ class TestTransportCurve:
         curve = transport_curve_classical(rec, 2.0)
         assert np.array_equal(curve.kicks, [0, 1])
         assert np.allclose(curve.fraction_outside, [0.5, 0.75])
+
+    def test_trajectory_record_without_full_size_copy(self):
+        """On the default 71 x 10,000 record (5.4 MiB of rho) the count makes no float
+        copy of |rho|: its transient stays under 2 MiB, and the fractions are the
+        bits of the mean of |rho| > boundary."""
+        rng = np.random.default_rng(4)
+        rho = rng.normal(0.0, 15.0, (71, 10_000))
+        rec = TrajectoryRecord(np.arange(71), np.zeros_like(rho), rho)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            curve = transport_curve_classical(rec, 10 * np.pi)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+        assert curve.fraction_outside.tobytes() == np.mean(np.abs(rho) > 10 * np.pi, axis=1).tobytes()
 
     def test_from_population_record(self):
         N = 16

@@ -450,3 +450,97 @@ class TestCoreSplit:
         # Four blocks of 5000: the poisoned block stops at its next pulse, after
         # at most 5 kernel calls, and the other three run all 20 of theirs.
         assert 3 * 20 < len(threads) <= 3 * 20 + 5
+
+
+def two_branch_elliptic(phi, rho, k, duration):
+    """The elliptic kernel as one masked branch per regime, each gathering its
+    elements, calling ellipkinc and ellipj on them and scattering the results
+    back: the reference that the one-path kernel must match bit for bit."""
+    from scipy.special import ellipj, ellipk, ellipkinc
+
+    w0 = np.sqrt(k)
+    phin = classical._wrap_centered(phi)
+    energy = 0.5 * rho**2 - k * np.cos(phin)
+    m_lib = (energy + k) / (2.0 * k)
+    out_phi = np.empty_like(phin)
+    out_rho = np.empty_like(rho)
+    near_sep = np.abs(m_lib - 1.0) < classical._SEPARATRIX_BAND
+    lib = (m_lib < 1.0) & ~near_sep
+    rot = (m_lib > 1.0) & ~near_sep
+    if np.any(lib):
+        m = m_lib[lib]
+        kappa = np.sqrt(m)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            s = np.where(kappa > 0.0, np.sin(phin[lib] / 2.0) / np.where(kappa > 0, kappa, 1.0), 0.0)
+        s = np.clip(s, -1.0, 1.0)
+        theta0 = ellipkinc(np.arcsin(s), m)
+        neg = rho[lib] < 0.0
+        theta0[neg] = 2.0 * ellipk(m[neg]) - theta0[neg]
+        sn, cn, _, _ = ellipj(theta0 + w0 * duration, m)
+        out_phi[lib] = 2.0 * np.arcsin(np.clip(kappa * sn, -1.0, 1.0))
+        out_rho[lib] = 2.0 * w0 * kappa * cn
+    if np.any(rot):
+        m = 1.0 / m_lib[rot]
+        kappa = np.sqrt(m)
+        sigma = np.where(rho[rot] >= 0.0, 1.0, -1.0)
+        theta0 = ellipkinc(phin[rot] / 2.0, m)
+        _, _, dn, ph = ellipj(theta0 + sigma * (w0 / kappa) * duration, m)
+        out_phi[rot] = 2.0 * ph
+        out_rho[rot] = sigma * 2.0 * (w0 / kappa) * dn
+    if np.any(near_sep):
+        p, r = classical._pendulum_symplectic(phin[near_sep], rho[near_sep], k, duration)
+        out_phi[near_sep] = p
+        out_rho[near_sep] = r
+    return np.mod(out_phi, TWO_PI), out_rho
+
+
+def edge_states(k):
+    """The bottom of the well (rho = +-0), the unstable fixed point and two points on the separatrix."""
+    rho_sep = np.sqrt(2.0 * k * (1.0 + np.cos(0.3)))
+    return np.array([0.0, 0.0, np.pi, 0.3, 0.3]), np.array([0.0, -0.0, 0.0, rho_sep, -rho_sep])
+
+
+def same_bits(got, want):
+    return all(np.array_equal(g, w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+               for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("duration", [1 / 20, 1 / 10], ids=["1/20", "1/10"])
+class TestOnePathKernel:
+    """_pendulum_elliptic runs libration and rotation on one path and returns the two-branch kernel's bits."""
+
+    @pytest.mark.parametrize("n", [0, 1, 60, 5000, 8192])
+    @pytest.mark.parametrize("states", ["thermal-10", "thermal-15", "band"])
+    def test_bitwise_equal_to_two_branches(self, states, n, duration):
+        rng = np.random.default_rng(n)
+        phi = rng.uniform(0.0, TWO_PI, n)
+        if states == "band":
+            rho = rng.uniform(10 * np.pi - TWO_PI, 10 * np.pi + TWO_PI, n)
+        else:
+            rho = rng.normal(0.0, float(states.split("-")[1]), n)
+        got = classical._pendulum_elliptic(phi, rho, 270.0, duration)
+        assert same_bits(got, two_branch_elliptic(phi, rho, 270.0, duration))
+
+    def test_edge_states_bitwise_equal_to_two_branches(self, duration):
+        """Together, one array element each, and one 0-d state each."""
+        phi, rho = edge_states(270.0)
+        calls = [(phi, rho)] + [(phi[i:i + 1], rho[i:i + 1]) for i in range(5)] + list(zip(phi, rho))
+        for p, r in calls:
+            p, r = np.asarray(p), np.asarray(r)
+            got = classical._pendulum_elliptic(p, r, 270.0, duration)
+            assert same_bits(got, two_branch_elliptic(p, r, 270.0, duration))
+
+    def test_edge_states_raise_nothing_under_raise(self, duration):
+        """np.where evaluates rotation at the bottom of the well, where it divides by
+        zero; that block's errstate keeps the caller's all="raise" from seeing it."""
+        phi, rho = edge_states(270.0)
+        with np.errstate(all="raise"):
+            got = pendulum_segment(phi, rho, 270.0, duration, method="elliptic")
+        assert np.all(np.isfinite(got))
+
+    def test_nan_m_lib_gives_nan(self, duration):
+        """At k = 1e308, 2k overflows and m_lib = inf/inf is NaN near phi = pi: both
+        outputs are NaN there, where two branches left np.empty_like's contents in rho."""
+        with np.errstate(all="ignore"):
+            phi, rho = classical._pendulum_elliptic(np.array([3.0, 3.0]), np.array([1.0, 2.0]), 1e308, duration)
+        assert np.all(np.isnan(phi)) and np.all(np.isnan(rho))
