@@ -43,8 +43,10 @@ def fraction_outside_quantum(populations: np.ndarray, hbar_k: float, boundary: f
 
 def transport_curve_classical(record, boundary: float) -> TransportCurve:
     """Fraction-outside curve from a TrajectoryRecord; counts each kick's |rho| > boundary
-    without a full-size |rho| copy."""
+    without a full-size |rho| copy.  A record holding NaN or inf is refused."""
     rho = record.rho
+    if not np.all(np.isfinite(rho)):
+        raise ParameterError("trajectory record holds non-finite momenta")
     frac = np.count_nonzero((rho > boundary) | (rho < -boundary), axis=1) / rho.shape[1]
     return TransportCurve(record.kicks.copy(), frac)
 

@@ -18,13 +18,17 @@ Both conserve the segment energy to better than 1e-9 relative.  scipy.special
 is imported on the first elliptic call, not with this module, so the quantum
 scenarios and configuration checks never load SciPy.
 
-Every kick loop runs in _recorded_kicks.  It cuts the trajectories once per
-run into contiguous blocks of at most 8192, the block count a multiple of the
-cores the process may use, and each block runs every cycle on a pool thread
-and writes its own snapshots; 8192 or fewer trajectories run inline.  The
+Every kernel returns wrapped phi (np.mod(phi, 2*pi)).  Every kick loop runs
+in _recorded_kicks, on one path: it cuts the trajectories once per run into
+contiguous blocks (one block for 8192 or fewer, else blocks of at most 8192,
+the block count a multiple of the cores the process may use), and each block
+runs every cycle on a pool thread and writes its own snapshots.  Each segment,
+dark ones as k = 0, goes through _driven and its finiteness check.  The
 kernels work element by element and release the GIL, so the output is
-bitwise that of an inline run.  The workers run only private functions, so
-every public function is entered and left on the calling thread.
+bitwise that of one kernel call per segment on the whole ensemble.  The
+workers run only private functions, so every public function is entered and
+left on the calling thread.  Neither a run nor a segment returns a non-finite
+point.
 """
 
 from __future__ import annotations
@@ -110,17 +114,14 @@ def thermal_ensemble(params: SimParams) -> ClassicalEnsemble:
     return ClassicalEnsemble(phi, rho)
 
 
-def _drift(phi, rho, duration: float):
-    return np.mod(phi + rho * duration, TWO_PI)
-
-
 def _wrap_centered(phi):
     """Wrap to [-pi, pi)."""
     return np.mod(phi + np.pi, TWO_PI) - np.pi
 
 
 def _pendulum_symplectic(phi, rho, k, duration):
-    """Yoshida 4th-order composition of _SUBSTEPS leapfrog steps for H = rho^2/2 - k cos phi."""
+    """Yoshida 4th-order composition of _SUBSTEPS leapfrog steps for H = rho^2/2 - k cos phi.
+    Returns wrapped phi."""
     h = duration / _SUBSTEPS
     phi = np.array(phi, dtype=float, copy=True)
     rho = np.array(rho, dtype=float, copy=True)
@@ -130,7 +131,7 @@ def _pendulum_symplectic(phi, rho, k, duration):
             phi += 0.5 * dt * rho
             rho -= dt * k * np.sin(phi)
             phi += 0.5 * dt * rho
-    return phi, rho
+    return np.mod(phi, TWO_PI), rho
 
 
 def _pendulum_elliptic(phi, rho, k, duration):
@@ -192,38 +193,43 @@ def _check_inputs(phi, rho, k, method: str):
     return phi, rho, float(k)
 
 
-def _driven(phi, rho, k: float, duration: float, method: str):
-    """One pendulum segment on checked arguments after a finiteness check; k = 0 drifts.  Returns wrapped phi."""
+def _require_finite(phi, rho, what: str) -> None:
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(rho))):
-        raise NumericalDomainError("non-finite phase-space input")
+        raise NumericalDomainError(f"non-finite phase-space {what}")
+
+
+def _driven(phi, rho, k: float, duration: float, method: str):
+    """One segment on checked arguments after a finiteness check of its input: the method's
+    kernel, or a drift for k = 0 or duration 0.  Returns the kernel's wrapped phi and rho."""
+    _require_finite(phi, rho, "input")
     if duration == 0 or k == 0.0:
-        return _drift(phi, rho, duration), rho
-    if method == "elliptic":
-        return _pendulum_elliptic(phi, rho, k, duration)
-    p, r = _pendulum_symplectic(phi, rho, k, duration)
-    return np.mod(p, TWO_PI), r
+        return np.mod(phi + rho * duration, TWO_PI), rho
+    # Looked up at call time, so a kernel replaced on the module is the one that runs.
+    kernel = _pendulum_elliptic if method == "elliptic" else _pendulum_symplectic
+    return kernel(phi, rho, k, duration)
 
 
 def pendulum_segment(phi, rho, k, duration: float, method: str = "symplectic"):
     """Evolve under H = rho^2/2 - k cos phi for the given duration.
 
     k is one finite scalar >= 0 for every trajectory; k = 0 is free drift.
-    Returns wrapped phi.
+    Returns wrapped phi.  Raises NumericalDomainError on a non-finite input or
+    output point (k near the float maximum, or |rho| whose square overflows).
     """
     if not 0 <= duration < np.inf:
         raise ParameterError(f"duration must be finite and >= 0, got {duration}")
-    return _driven(*_check_inputs(phi, rho, k, method), duration, method)
+    phi, rho = _driven(*_check_inputs(phi, rho, k, method), duration, method)
+    _require_finite(phi, rho, "output")
+    return phi, rho
 
 
-def _kick_block(snaps: np.ndarray, k: float, segments: list, method: str) -> None:
-    """Run one block's kick cycles from its start in snaps[0]; the state after cycle i goes into snaps[i]."""
+def _kick_block(snaps: np.ndarray, segments: list, method: str) -> None:
+    """Run one block's kick cycles from its start in snaps[0]; the state after cycle i goes into
+    snaps[i].  Every (duration, k) segment goes through _driven, a dark one with k = 0."""
     phi, rho = snaps[0, :, 0].copy(), snaps[0, :, 1].copy()
     for snap in snaps[1:]:
-        for duration, driven in segments:
-            if driven:
-                phi, rho = _driven(phi, rho, k, duration, method)
-            else:
-                phi = _drift(phi, rho, duration)
+        for duration, k in segments:
+            phi, rho = _driven(phi, rho, k, duration, method)
         snap[:, 0], snap[:, 1] = phi, rho
 
 
@@ -234,25 +240,26 @@ def _executor(workers: int) -> ThreadPoolExecutor:
 
 def _recorded_kicks(phi, rho, k, train: PulseTrain, n_kicks: int, method: str) -> np.ndarray:
     """Snapshots (n_kicks + 1, *phi.shape, 2) of (phi, rho): the start as given, then the end of
-    each kick cycle.  Blocks run as the module docstring says; once all are done, the first error is raised."""
+    each kick cycle.  Every block, an empty ensemble's one empty block included, runs on the pool
+    as the module docstring says; once all are done, the first error is raised.  A NaN or inf
+    within the run fails the next segment's input check; one in the final snapshot raises
+    NumericalDomainError("non-finite phase-space output")."""
     if n_kicks < 0:
         raise ParameterError(f"n_kicks must be >= 0, got {n_kicks}")
     phi, rho, k = _check_inputs(phi, rho, k, method)
-    segments = [(float(d), driven) for d, driven in train.segments]
+    segments = [(float(d), k if driven else 0.0) for d, driven in train.segments]
     snaps = np.empty((n_kicks + 1, phi.size, 2))
     snaps[0, :, 0], snaps[0, :, 1] = phi.ravel(), rho.ravel()
     n_blocks = -(-phi.size // _BLOCK)
-    if n_blocks <= 1 or _WORKERS <= 1:
-        _kick_block(snaps, k, segments, method)
-    else:
-        n_blocks = -(-n_blocks // _WORKERS) * _WORKERS
-        cuts = [phi.size * i // n_blocks for i in range(n_blocks + 1)]
-        # Each block runs in a copy of the caller's context, so the workers keep its np.errstate.
-        futures = [_executor(_WORKERS).submit(contextvars.copy_context().run, _kick_block, snaps[:, a:b], k,
-                                              segments, method) for a, b in zip(cuts[:-1], cuts[1:])]
-        wait(futures)
-        for future in futures:
-            future.result()
+    n_blocks = -(-n_blocks // _WORKERS) * _WORKERS if n_blocks > 1 else 1
+    cuts = [phi.size * i // n_blocks for i in range(n_blocks + 1)]
+    # Each block runs in a copy of the caller's context, so the workers keep its np.errstate.
+    futures = [_executor(_WORKERS).submit(contextvars.copy_context().run, _kick_block, snaps[:, a:b], segments,
+                                          method) for a, b in zip(cuts[:-1], cuts[1:])]
+    wait(futures)
+    for future in futures:
+        future.result()
+    _require_finite(snaps[-1, :, 0], snaps[-1, :, 1], "output")
     return snaps.reshape(n_kicks + 1, *phi.shape, 2)
 
 

@@ -124,6 +124,13 @@ class TestTransportCurve:
         assert np.array_equal(curve.kicks, [0, 1])
         assert np.allclose(curve.fraction_outside, [0.5, 0.75])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_record_raises(self, bad):
+        """A NaN once counted as inside: the row [nan, 40] at boundary 10 gave 0.5."""
+        rec = TrajectoryRecord(np.array([0]), np.zeros((1, 2)), np.array([[bad, 40.0]]))
+        with pytest.raises(ParameterError, match="non-finite"):
+            transport_curve_classical(rec, 10.0)
+
     def test_trajectory_record_without_full_size_copy(self):
         """On the default 71 x 10,000 record (5.4 MiB of rho) the count makes no float
         copy of |rho|: its transient stays under 2 MiB, and the fractions are the

@@ -302,6 +302,23 @@ class TestSegmentInput:
             pendulum_segment(np.zeros(4), np.ones(5), 10.0, 0.1)
 
 
+class TestNonFiniteOutput:
+    """Finite input whose evolution overflows is refused, not handed back as NaN.
+    Under np.errstate(all="ignore") NumPy itself stays silent."""
+
+    # rho^2 overflows in the elliptic energy at |rho| ~ 1.3e154, and 2 * k above ~9e307.
+    @pytest.mark.parametrize("k", [270.0, 1e308], ids=["rho-squared", "k-doubled"])
+    def test_overflowing_segment_raises(self, k):
+        with np.errstate(all="ignore"), pytest.raises(NumericalDomainError, match="non-finite phase-space output"):
+            pendulum_segment(np.array([3.0]), np.array([1e155]), k, 0.05, method="elliptic")
+
+    def test_train_ending_on_a_pulse_raises(self):
+        """At alpha = delta = 1/2 the cycle is one pulse, so no later segment checks its output."""
+        train = build_pulse_train(Fraction(1, 2), Fraction(1, 2))
+        with np.errstate(all="ignore"), pytest.raises(NumericalDomainError, match="non-finite phase-space output"):
+            kick_cycle(np.array([3.0]), np.array([1.0]), 1e308, train, method="elliptic")
+
+
 def separatrix_seeded(n, k, seed, lead=0.0):
     """Random band states with every 500th trajectory within 1e-12 of its
     separatrix once a leading drift of duration lead has run."""
@@ -318,36 +335,39 @@ def separatrix_seeded(n, k, seed, lead=0.0):
     return phi, rho
 
 
-def single_call(phi, rho, k, duration, method):
-    if method == "elliptic":
-        return classical._pendulum_elliptic(phi, rho, k, duration)
-    p, r = classical._pendulum_symplectic(phi, rho, k, duration)
-    return np.mod(p, TWO_PI), r
-
-
 # One pulse of width 1/10 between two dark segments of 0.45: one pendulum segment per cycle.
 ONE_PULSE = build_pulse_train(Fraction(1, 20), Fraction(1, 20))
 
 
 class TestCoreSplit:
-    """The run-level split returns the bytes of an inline run.
+    """Every run goes to the pool and returns the bytes of one kernel call per segment.
 
-    Runs of more than 8192 trajectories are cut once into blocks, and each
-    block runs every kick cycle on a pool worker.  Blocks hold at least 2731
-    trajectories (8193 in three), so with separatrix_seeded every block
-    carries near-separatrix seeds and runs the substep fallback on a worker.
+    Runs of 8192 or fewer trajectories, none included, are one block on one pool
+    worker; larger runs are cut once into blocks, and each block runs every kick
+    cycle on a pool worker.  Blocks hold at least 2731 trajectories (8193 in
+    three), so with separatrix_seeded every block carries near-separatrix seeds
+    and runs the substep fallback on a worker.
     """
 
-    @pytest.mark.parametrize("n", [8192, 8193, 10_000, 100_000])
+    @pytest.mark.parametrize("n", [0, 1, 60, 2000, 8192, 8193, 10_000, 100_000])
     @pytest.mark.parametrize("k", [270.0], ids=["scalar-k"])
     @pytest.mark.parametrize("method", ["elliptic", "symplectic"])
     def test_bitwise_equal_to_one_call(self, monkeypatch, n, k, method):
-        """kick_cycle on two workers equals one kernel call per segment on the whole ensemble."""
+        """kick_cycle on two workers equals one kernel call per segment on the whole
+        ensemble, and its kernel calls run on pool threads at every size."""
         monkeypatch.setattr(classical, "_WORKERS", 2)
+        kernel, threads = getattr(classical, f"_pendulum_{method}"), []
+
+        def recording(*args):
+            threads.append(threading.current_thread().name)
+            return kernel(*args)
+
+        monkeypatch.setattr(classical, f"_pendulum_{method}", recording)
         (lead, _), (pulse, _), (tail, _) = ONE_PULSE.segments
         phi, rho = separatrix_seeded(n, k, n, float(lead))
         p, r = kick_cycle(phi, rho, k, ONE_PULSE, method=method)
-        p1, r1 = single_call(np.mod(phi + rho * float(lead), TWO_PI), rho, k, float(pulse), method)
+        assert threads and all(name.startswith("cantori-kicks") for name in threads), threads
+        p1, r1 = kernel(np.mod(phi + rho * float(lead), TWO_PI), rho, k, float(pulse))
         p1 = np.mod(p1 + r1 * float(tail), TWO_PI)
         assert np.array_equal(p, p1) and np.array_equal(r, r1)
 
@@ -419,7 +439,7 @@ class TestCoreSplit:
 
     def test_workers_keep_the_callers_errstate(self, monkeypatch, paper_train):
         """Under np.errstate(all="raise") an overflow raises FloatingPointError
-        whether the trajectories run inline (4000) or on two workers (20,000)."""
+        whether the trajectories run as one block (4000) or as four on two workers (20,000)."""
         monkeypatch.setattr(classical, "_WORKERS", 2)
         for n in (4000, 20_000):
             phi, rho = random_band_states(np.random.default_rng(1), n)
@@ -450,6 +470,21 @@ class TestCoreSplit:
         # Four blocks of 5000: the poisoned block stops at its next pulse, after
         # at most 5 kernel calls, and the other three run all 20 of theirs.
         assert 3 * 20 < len(threads) <= 3 * 20 + 5
+
+    def test_non_finite_last_pulse_is_caught_at_the_trailing_pad(self, monkeypatch):
+        """A NaN in the last pulse's output of a one-kick run fails the input check of
+        the dark segment after it, on the one worker of a 60-trajectory run."""
+        kernel = classical._pendulum_elliptic
+
+        def poisoned(*args):
+            phi, rho = kernel(*args)
+            rho[-1] = np.nan
+            return phi, rho
+
+        monkeypatch.setattr(classical, "_pendulum_elliptic", poisoned)
+        phi, rho = random_band_states(np.random.default_rng(3), 60)
+        with pytest.raises(NumericalDomainError, match="non-finite phase-space input"):
+            kick_cycle(phi, rho, 270.0, ONE_PULSE, method="elliptic")
 
 
 def two_branch_elliptic(phi, rho, k, duration):

@@ -155,7 +155,7 @@ def test_quantum_scenarios_never_load_scipy(tmp_path):
 
 def test_first_elliptic_call_on_pool_workers():
     """SciPy's first import happens inside the kernel on the pool's workers,
-    and the split run gives the bytes of an inline one."""
+    and the run on two workers gives the bytes of the run on one."""
     out = run_fresh("""
         import sys
         import threading
