@@ -41,14 +41,19 @@ def fraction_outside_quantum(populations: np.ndarray, hbar_k: float, boundary: f
     return np.sum(np.asarray(populations, dtype=float) * outside, axis=-1)
 
 
+def count_outside(rho, boundary: float):
+    """Momenta with |rho| > boundary along the last axis of rho, counted without a full-size
+    |rho| copy; a NaN counts as inside."""
+    return np.count_nonzero((rho > boundary) | (rho < -boundary), axis=-1)
+
+
 def transport_curve_classical(record, boundary: float) -> TransportCurve:
-    """Fraction-outside curve from a TrajectoryRecord; counts each kick's |rho| > boundary
-    without a full-size |rho| copy.  A record holding NaN or inf is refused."""
+    """Fraction-outside curve from a TrajectoryRecord, by count_outside on each kick.  A record
+    holding NaN or inf is refused."""
     rho = record.rho
     if not np.all(np.isfinite(rho)):
         raise ParameterError("trajectory record holds non-finite momenta")
-    frac = np.count_nonzero((rho > boundary) | (rho < -boundary), axis=1) / rho.shape[1]
-    return TransportCurve(record.kicks.copy(), frac)
+    return TransportCurve(record.kicks.copy(), count_outside(rho, boundary) / rho.shape[1])
 
 
 def transport_curve_quantum(record, hbar_k: float, boundary: float) -> TransportCurve:

@@ -18,17 +18,21 @@ Both conserve the segment energy to better than 1e-9 relative.  scipy.special
 is imported on the first elliptic call, not with this module, so the quantum
 scenarios and configuration checks never load SciPy.
 
-Every kernel returns wrapped phi (np.mod(phi, 2*pi)).  Every kick loop runs
-in _recorded_kicks, on one path: it cuts the trajectories once per run into
-contiguous blocks (one block for 8192 or fewer, else blocks of at most 8192,
-the block count a multiple of the cores the process may use), and each block
-runs every cycle on a pool thread and writes its own snapshots.  Each segment,
-dark ones as k = 0, goes through _driven and its finiteness check.  The
-kernels work element by element and release the GIL, so the output is
-bitwise that of one kernel call per segment on the whole ensemble.  The
-workers run only private functions, so every public function is entered and
-left on the calling thread.  Neither a run nor a segment returns a non-finite
-point.
+Every kernel returns phi wrapped into [0, 2*pi) by _wrap.  Every kick loop
+runs in _recorded_kicks, on one path: it cuts the trajectories once per run
+into contiguous blocks (one block for 8192 or fewer, else blocks of at most
+8192, the block count a multiple of the cores the process may use), and each
+block runs every cycle on a pool thread and hands its state after each cycle
+to what the caller keeps.  evolve_ensemble, poincare_section and kick_cycle
+keep (phi, rho) snapshots, 16 bytes per trajectory and kick; transport_counts
+keeps only each kick's count of |rho| beyond a boundary, so its memory is the
+ensemble's current state.  Each segment, dark ones as k = 0, goes through
+_driven and its finiteness check.  The kernels work element by element and
+release the GIL, so the output is bitwise that of one kernel call per segment
+on the whole ensemble.  The workers run only private functions and this
+module's own binding of analysis.count_outside, so every public function of
+cantori is entered and left on the calling thread.  Neither a run nor a
+segment returns a non-finite point.
 """
 
 from __future__ import annotations
@@ -36,11 +40,13 @@ from __future__ import annotations
 import contextvars
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import count_outside
 from .model import ParameterError, PulseTrain, SimParams
 
 TWO_PI = 2.0 * np.pi
@@ -114,9 +120,16 @@ def thermal_ensemble(params: SimParams) -> ClassicalEnsemble:
     return ClassicalEnsemble(phi, rho)
 
 
+def _wrap(phi):
+    """phi mod 2*pi in [0, 2*pi): np.mod returns exactly 2*pi for tiny negative phi, and that is
+    mapped to 0.  A NaN stays NaN."""
+    w = np.mod(phi, TWO_PI)
+    return np.where(w == TWO_PI, 0.0, w)
+
+
 def _wrap_centered(phi):
     """Wrap to [-pi, pi)."""
-    return np.mod(phi + np.pi, TWO_PI) - np.pi
+    return _wrap(phi + np.pi) - np.pi
 
 
 def _pendulum_symplectic(phi, rho, k, duration):
@@ -131,7 +144,7 @@ def _pendulum_symplectic(phi, rho, k, duration):
             phi += 0.5 * dt * rho
             rho -= dt * k * np.sin(phi)
             phi += 0.5 * dt * rho
-    return np.mod(phi, TWO_PI), rho
+    return _wrap(phi), rho
 
 
 def _pendulum_elliptic(phi, rho, k, duration):
@@ -176,7 +189,7 @@ def _pendulum_elliptic(phi, rho, k, duration):
     near_sep = np.abs(m_lib - 1.0) < _SEPARATRIX_BAND
     if np.any(near_sep):
         out_phi[near_sep], out_rho[near_sep] = _pendulum_symplectic(phin[near_sep], rho[near_sep], k, duration)
-    return np.mod(out_phi, TWO_PI), out_rho
+    return _wrap(out_phi), out_rho
 
 
 def _check_inputs(phi, rho, k, method: str):
@@ -203,7 +216,7 @@ def _driven(phi, rho, k: float, duration: float, method: str):
     kernel, or a drift for k = 0 or duration 0.  Returns the kernel's wrapped phi and rho."""
     _require_finite(phi, rho, "input")
     if duration == 0 or k == 0.0:
-        return np.mod(phi + rho * duration, TWO_PI), rho
+        return _wrap(phi + rho * duration), rho
     # Looked up at call time, so a kernel replaced on the module is the one that runs.
     kernel = _pendulum_elliptic if method == "elliptic" else _pendulum_symplectic
     return kernel(phi, rho, k, duration)
@@ -223,14 +236,16 @@ def pendulum_segment(phi, rho, k, duration: float, method: str = "symplectic"):
     return phi, rho
 
 
-def _kick_block(snaps: np.ndarray, segments: list, method: str) -> None:
-    """Run one block's kick cycles from its start in snaps[0]; the state after cycle i goes into
-    snaps[i].  Every (duration, k) segment goes through _driven, a dark one with k = 0."""
-    phi, rho = snaps[0, :, 0].copy(), snaps[0, :, 1].copy()
-    for snap in snaps[1:]:
+def _kick_block(block: slice, phi, rho, segments: list, method: str, n_kicks: int, keep) -> None:
+    """Run one block's n_kicks cycles from its start (phi, rho); keep(block, i, phi, rho) gets the
+    state after cycle i, the start as i = 0.  Every (duration, k) segment goes through _driven, a
+    dark one with k = 0, and the final state through the output check."""
+    keep(block, 0, phi, rho)
+    for i in range(1, n_kicks + 1):
         for duration, k in segments:
             phi, rho = _driven(phi, rho, k, duration, method)
-        snap[:, 0], snap[:, 1] = phi, rho
+        keep(block, i, phi, rho)
+    _require_finite(phi, rho, "output")
 
 
 @functools.cache
@@ -238,29 +253,36 @@ def _executor(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="cantori-kicks")
 
 
-def _recorded_kicks(phi, rho, k, train: PulseTrain, n_kicks: int, method: str) -> np.ndarray:
-    """Snapshots (n_kicks + 1, *phi.shape, 2) of (phi, rho): the start as given, then the end of
-    each kick cycle.  Every block, an empty ensemble's one empty block included, runs on the pool
-    as the module docstring says; once all are done, the first error is raised.  A NaN or inf
-    within the run fails the next segment's input check; one in the final snapshot raises
+def _recorded_kicks(phi, rho, k, train: PulseTrain, n_kicks: int, method: str, keep=None):
+    """Run n_kicks cycles from (phi, rho) and hand each block's state after every cycle, the start
+    as cycle 0, to keep(block, i, phi, rho) on the block's worker; block is the block's slice of
+    the raveled ensemble.  Without keep, returns the snapshots (n_kicks + 1, *phi.shape, 2) of
+    (phi, rho).  Every block, an empty ensemble's one empty block included, runs on the pool as
+    the module docstring says; once all are done, the first error is raised.  A NaN or inf within
+    the run fails the next segment's input check; one in a block's final state raises
     NumericalDomainError("non-finite phase-space output")."""
     if n_kicks < 0:
         raise ParameterError(f"n_kicks must be >= 0, got {n_kicks}")
     phi, rho, k = _check_inputs(phi, rho, k, method)
     segments = [(float(d), k if driven else 0.0) for d, driven in train.segments]
-    snaps = np.empty((n_kicks + 1, phi.size, 2))
-    snaps[0, :, 0], snaps[0, :, 1] = phi.ravel(), rho.ravel()
+    snaps = None
+    if keep is None:
+        snaps = np.empty((n_kicks + 1, phi.size, 2))
+
+        def keep(block, i, p, r):
+            snaps[i, block, 0], snaps[i, block, 1] = p, r
     n_blocks = -(-phi.size // _BLOCK)
     n_blocks = -(-n_blocks // _WORKERS) * _WORKERS if n_blocks > 1 else 1
     cuts = [phi.size * i // n_blocks for i in range(n_blocks + 1)]
+    flat_phi, flat_rho = phi.ravel(), rho.ravel()
     # Each block runs in a copy of the caller's context, so the workers keep its np.errstate.
-    futures = [_executor(_WORKERS).submit(contextvars.copy_context().run, _kick_block, snaps[:, a:b], segments,
-                                          method) for a, b in zip(cuts[:-1], cuts[1:])]
+    futures = [_executor(_WORKERS).submit(contextvars.copy_context().run, _kick_block, slice(a, b), flat_phi[a:b],
+                                          flat_rho[a:b], segments, method, n_kicks, keep)
+               for a, b in zip(cuts[:-1], cuts[1:])]
     wait(futures)
     for future in futures:
         future.result()
-    _require_finite(snaps[-1, :, 0], snaps[-1, :, 1], "output")
-    return snaps.reshape(n_kicks + 1, *phi.shape, 2)
+    return None if snaps is None else snaps.reshape(n_kicks + 1, *phi.shape, 2)
 
 
 def kick_cycle(phi, rho, k, train: PulseTrain, method: str = "symplectic"):
@@ -278,9 +300,28 @@ def evolve_ensemble(
 ) -> TrajectoryRecord:
     """Evolve an ensemble for n_kicks cycles, recording a snapshot at kicks 0..n_kicks."""
     n_kicks = params.n_kicks if n_kicks is None else n_kicks
-    snaps = _recorded_kicks(np.mod(ensemble.phi, TWO_PI), ensemble.rho, params.kick_strength,
+    snaps = _recorded_kicks(_wrap(ensemble.phi), ensemble.rho, params.kick_strength,
                             train or params.pulse_train(), n_kicks, method)
     return TrajectoryRecord(np.arange(n_kicks + 1), snaps[..., 0], snaps[..., 1])
+
+
+def transport_counts(ensemble: ClassicalEnsemble, params: SimParams, boundary: float,
+                     method: str = "symplectic") -> np.ndarray:
+    """Trajectories with |rho| > boundary at kicks 0..params.n_kicks of the params' pulse train:
+    the counts that analysis.transport_curve_classical takes from evolve_ensemble's record, bit
+    for bit, with no record kept.  Each block counts its own trajectories after every cycle on its
+    worker, and the blocks' counts are summed."""
+    totals = np.zeros(params.n_kicks + 1, dtype=np.intp)
+    lock = threading.Lock()
+
+    def keep(block, i, phi, rho):
+        count = count_outside(rho, boundary)
+        with lock:
+            totals[i] += count
+
+    _recorded_kicks(_wrap(ensemble.phi), ensemble.rho, params.kick_strength, params.pulse_train(),
+                    params.n_kicks, method, keep)
+    return totals
 
 
 def poincare_section(seeds, k: float, train: PulseTrain, n_kicks: int) -> np.ndarray:
@@ -289,7 +330,7 @@ def poincare_section(seeds, k: float, train: PulseTrain, n_kicks: int) -> np.nda
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     if seeds.ndim != 2 or seeds.shape[1] != 2 or not len(seeds):
         raise ParameterError(f"seeds must have shape (n, 2) with n >= 1, got {seeds.shape}")
-    return _recorded_kicks(np.mod(seeds[:, 0], TWO_PI), seeds[:, 1], k, train, n_kicks, "elliptic").reshape(-1, 2)
+    return _recorded_kicks(_wrap(seeds[:, 0]), seeds[:, 1], k, train, n_kicks, "elliptic").reshape(-1, 2)
 
 
 def cantorus_flux(
@@ -304,13 +345,17 @@ def cantorus_flux(
 
     Each replicate seeds the band boundary +- 2*pi uniformly (seed area =
     band area / n_seeds) and applies a single stroboscopic cycle of the
-    elliptic backend; the area carried by seeds that cross the boundary
-    equals the turnstile lobe area mapped across per cycle.  Outward and
-    inward crossings give two samples per replicate (equal in the mean, by
-    area preservation).  Only the first cycle after a fresh uniform fill
-    measures the turnstile: the band density near the boundary depletes on
-    subsequent cycles and the crossing counts decay, so replicates are
-    independent seedings rather than later cycles of one run.
+    elliptic backend; the estimate is the area carried by the seeds that
+    cross the boundary.  It counts only seeds within +- 2*pi of the boundary,
+    so it is a lower bound on the turnstile lobe area mapped across per
+    cycle.  One cycle can move rho by up to k times the total pulse time
+    (8.6*pi at k = 270); seeds up to 3.25*pi away cross at k = 270, and 3.56*pi
+    at k = 280, so the estimate is about 8% low at k = 270 and 10% at k = 280.
+    Outward and inward crossings give two samples per replicate (equal in
+    the mean, by area preservation).  Only the first cycle after a fresh
+    uniform fill measures the turnstile: the band density near the boundary
+    depletes on subsequent cycles and the crossing counts decay, so
+    replicates are independent seedings rather than later cycles of one run.
     """
     if n_seeds < 1 or n_replicates < 1:
         raise ParameterError(f"need n_seeds >= 1 and n_replicates >= 1, got {n_seeds} and {n_replicates}")

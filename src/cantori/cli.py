@@ -350,10 +350,8 @@ def _scenario_transport(cfg: RunConfig):
     p = cfg.params
     boundary = cfg.options["boundary_over_pi"] * np.pi
 
-    ensemble = classical.thermal_ensemble(p)
-    rec = classical.evolve_ensemble(ensemble, p, p.pulse_train(), method="elliptic")
-    curve = analysis.transport_curve_classical(rec, boundary)
-    yield ("classical.dat", *_table(curve.kicks, curve.fraction_outside),
+    counts = classical.transport_counts(classical.thermal_ensemble(p), p, boundary, method="elliptic")
+    yield ("classical.dat", *_table(np.arange(p.n_kicks + 1), counts / p.n_trajectories),
            f"classical fraction outside |rho|={boundary:.6g}, k={p.kick_strength}\nkick fraction_outside")
 
     rho0, floquet = _quantum_start(p)

@@ -1,4 +1,5 @@
 import inspect
+import sys
 import threading
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from cantori import classical
+from cantori.analysis import transport_curve_classical
 from cantori.classical import (
     ClassicalEnsemble,
     NumericalDomainError,
@@ -177,6 +179,18 @@ class TestEnsemble:
         for dur, driven in paper_train.segments:
             phi, rho = pendulum_segment(phi, rho, 270.0 if driven else 0.0, float(dur), method=method)
         assert np.array_equal(p, phi) and np.array_equal(r, rho)
+
+    def test_phi_just_below_zero_wraps_to_zero(self, paper_train):
+        """np.mod(-1e-20, 2*pi) is exactly 2*pi, yet every phi a segment, a run or a
+        section returns lies in [0, 2*pi)."""
+        phi, rho = np.array([-1e-20]), np.array([0.0])
+        outputs = [pendulum_segment(phi, rho, k, 0.1, method=method)[0]
+                   for method in ("elliptic", "symplectic") for k in (0.0, 270.0)]
+        p = SimParams(kick_strength=270.0, scaled_planck=2.6)
+        outputs.append(evolve_ensemble(ClassicalEnsemble(phi, rho), p, paper_train, 1, method="elliptic").phi)
+        outputs.append(poincare_section(np.column_stack([phi, rho]), 270.0, paper_train, 1)[:, 0])
+        for out in outputs:
+            assert np.all((out >= 0.0) & (out < TWO_PI)), out
 
     def test_kam_confinement_short(self, paper_train):
         # Quick version of the unbroken-torus check; the full 10^3-kick run
@@ -370,6 +384,28 @@ class TestCoreSplit:
         p1, r1 = kernel(np.mod(phi + rho * float(lead), TWO_PI), rho, k, float(pulse))
         p1 = np.mod(p1 + r1 * float(tail), TWO_PI)
         assert np.array_equal(p, p1) and np.array_equal(r, r1)
+
+    @pytest.mark.parametrize("n", [1, 60, 2000, 8193, 10_000])
+    def test_transport_counts_equal_the_record_curve(self, monkeypatch, n):
+        """transport_counts on 1, 2, 3 and 8 workers gives the fractions of
+        transport_curve_classical on evolve_ensemble's record, bit for bit.  The
+        blocks add into one total under a lock, stressed here by eight blocks on
+        eight workers under a 1 us switch interval: an unlocked add that gives up
+        the GIL between its read and its write loses counts and fails."""
+        p = SimParams(kick_strength=270.0, scaled_planck=2.6, n_trajectories=n, n_kicks=10, rng_seed=n,
+                      init_momentum_sigma=30.0)
+        ensemble = thermal_ensemble(p)
+        curve = transport_curve_classical(evolve_ensemble(ensemble, p, method="elliptic"), 10 * np.pi)
+        assert n == 1 or curve.fraction_outside.all()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(classical, "_WORKERS", workers)
+                counts = classical.transport_counts(ensemble, p, 10 * np.pi, method="elliptic")
+                assert (counts / n).tobytes() == curve.fraction_outside.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_worker_count_does_not_change_output(self, monkeypatch, paper_train):
         """evolve_ensemble (both backends, on the one-pulse train to keep the

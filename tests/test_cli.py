@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -173,6 +174,20 @@ class TestRunScenario:
         assert (outdir / "config.ini").read_text() == cfg.canonical()
         data = np.loadtxt(outdir / "quantum_eta_0.2.dat")
         assert data.shape == (4, 2)
+
+    def test_transport_keeps_no_classical_record(self, tmp_path):
+        """A transport run of DEFAULT_CONFIG (10,000 trajectories, 70 kicks) peaks under
+        4 MiB of traced memory, where its (71, 10,000, 2) record alone took 10.8 MiB."""
+        cfg = parse_config(DEFAULT_CONFIG.replace("output_dir = runs", f"output_dir = {tmp_path}"))
+        # SciPy loads here, so that its import is not traced.
+        cli.classical.pendulum_segment(np.zeros(1), np.ones(1), 1.0, 0.1, method="elliptic")
+        tracemalloc.start()
+        try:
+            run_scenario(cfg, stamp="mem")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     def test_negative_zero_eta_is_written_as_zero(self, tmp_path):
         """se_probability = -0 is the value 0: in the canonical config and in the waterfall header."""

@@ -155,14 +155,15 @@ def test_quantum_scenarios_never_load_scipy(tmp_path):
 
 def test_first_elliptic_call_on_pool_workers():
     """SciPy's first import happens inside the kernel on the pool's workers,
-    and the run on two workers gives the bytes of the run on one."""
+    and the run on two workers gives the bytes of the run on one, for the
+    record and for the transport counts."""
     out = run_fresh("""
         import sys
         import threading
 
         import numpy as np
 
-        from cantori import classical
+        from cantori import analysis, classical
         from cantori.model import SimParams
 
         class Watch:
@@ -175,13 +176,16 @@ def test_first_elliptic_call_on_pool_workers():
 
         assert "scipy.special" not in sys.modules
         sys.meta_path.insert(0, Watch())
-        params = SimParams(kick_strength=270.0, scaled_planck=2.6, n_trajectories=20_000, rng_seed=11)
+        params = SimParams(kick_strength=270.0, scaled_planck=2.6, n_trajectories=20_000, n_kicks=2, rng_seed=11)
         ensemble = classical.thermal_ensemble(params)
-        records = []
+        records, counts = [], []
         for workers in (2, 1):
             classical._WORKERS = workers
-            records.append(classical.evolve_ensemble(ensemble, params, n_kicks=2, method="elliptic"))
+            records.append(classical.evolve_ensemble(ensemble, params, method="elliptic"))
+            counts.append(classical.transport_counts(ensemble, params, 10.0, method="elliptic"))
         assert np.array_equal(records[0].phi, records[1].phi) and np.array_equal(records[0].rho, records[1].rho)
+        fractions = analysis.transport_curve_classical(records[0], 10.0).fraction_outside
+        assert all((c / 20_000).tobytes() == fractions.tobytes() for c in counts)
         assert Watch.threads and Watch.threads[0].startswith("cantori-kicks"), Watch.threads
         print("equal")
     """)
