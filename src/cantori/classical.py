@@ -25,14 +25,15 @@ into contiguous blocks (one block for 8192 or fewer, else blocks of at most
 block runs every cycle on a pool thread and hands its state after each cycle
 to what the caller keeps.  evolve_ensemble, poincare_section and kick_cycle
 keep (phi, rho) snapshots, 16 bytes per trajectory and kick; transport_counts
-keeps only each kick's count of |rho| beyond a boundary, so its memory is the
-ensemble's current state.  Each segment, dark ones as k = 0, goes through
-_driven and its finiteness check.  The kernels work element by element and
-release the GIL, so the output is bitwise that of one kernel call per segment
-on the whole ensemble.  The workers run only private functions and this
-module's own binding of analysis.count_outside, so every public function of
-cantori is entered and left on the calling thread.  Neither a run nor a
-segment returns a non-finite point.
+keeps only each kick's count of |rho| beyond a boundary, and cantorus_flux
+each block's start mask of rho below the boundary and its two crossing
+counts, so their memory is the ensemble's current state.  Each segment, dark
+ones as k = 0, goes through _driven and its finiteness check.  The kernels
+work element by element and release the GIL, so the output is bitwise that
+of one kernel call per segment on the whole ensemble.  The workers run only
+private functions and this module's own binding of analysis.count_outside,
+so every public function of cantori is entered and left on the calling
+thread.  Neither a run nor a segment returns a non-finite point.
 """
 
 from __future__ import annotations
@@ -356,6 +357,9 @@ def cantorus_flux(
     uniform fill measures the turnstile: the band density near the boundary
     depletes on subsequent cycles and the crossing counts decay, so
     replicates are independent seedings rather than later cycles of one run.
+    Each block of a replicate's seeds keeps its start mask of rho < boundary
+    and, after the cycle, adds its outward and inward counts on its worker, so
+    no snapshot record is kept.
     """
     if n_seeds < 1 or n_replicates < 1:
         raise ParameterError(f"need n_seeds >= 1 and n_replicates >= 1, got {n_seeds} and {n_replicates}")
@@ -363,14 +367,25 @@ def cantorus_flux(
         raise ParameterError(f"need rng_seed >= 0 and a finite boundary, got {rng_seed} and {boundary}")
     area_per_seed = (TWO_PI * 2.0 * TWO_PI) / n_seeds
     counts = []        # crossings out, then in, per replicate
+    starts = {}        # each block's start mask rho < boundary, by its first index
+    lock = threading.Lock()
+
+    def keep(block, i, phi, rho):
+        if i == 0:
+            starts[block.start] = rho < boundary
+            return
+        below, above = starts.pop(block.start), rho > boundary
+        out, back = int(np.count_nonzero(below & above)), int(np.count_nonzero(~below & ~above))
+        with lock:
+            counts[-2] += out
+            counts[-1] += back
+
     for rep in range(n_replicates):
         rng = np.random.default_rng((rng_seed, rep))
         phi = rng.uniform(0.0, TWO_PI, n_seeds)
         rho = rng.uniform(boundary - TWO_PI, boundary + TWO_PI, n_seeds)
-        below = rho < boundary
-        _, rho = kick_cycle(phi, rho, k, train, method="elliptic")
-        above = rho > boundary
-        counts += [int((below & above).sum()), int((~below & ~above).sum())]
+        counts += [0, 0]
+        _recorded_kicks(phi, rho, k, train, 1, "elliptic", keep)
     total = sum(counts)
     if total < 100:
         raise StatisticsError(

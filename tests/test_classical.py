@@ -349,6 +349,27 @@ def separatrix_seeded(n, k, seed, lead=0.0):
     return phi, rho
 
 
+def snapshot_flux(k, train, boundary, n_seeds, n_replicates=8, rng_seed=0):
+    """cantorus_flux by its snapshot-record algorithm: each replicate's seeds drawn from the
+    same (rng_seed, rep) stream, run through kick_cycle and compared with the boundary
+    before and after; the reference that the worker-side counts must match bit for bit."""
+    counts = []
+    for rep in range(n_replicates):
+        rng = np.random.default_rng((rng_seed, rep))
+        phi = rng.uniform(0.0, TWO_PI, n_seeds)
+        rho = rng.uniform(boundary - TWO_PI, boundary + TWO_PI, n_seeds)
+        below = rho < boundary
+        _, rho = kick_cycle(phi, rho, k, train, method="elliptic")
+        above = rho > boundary
+        counts += [int((below & above).sum()), int((~below & ~above).sum())]
+    total = sum(counts)
+    if total < 100:
+        raise StatisticsError(f"only {total} boundary crossings observed", total)
+    samples = np.array(counts) * ((TWO_PI * 2.0 * TWO_PI) / n_seeds)
+    return classical.FluxEstimate(float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(samples.size)),
+                                  total, samples)
+
+
 # One pulse of width 1/10 between two dark segments of 0.45: one pendulum segment per cycle.
 ONE_PULSE = build_pulse_train(Fraction(1, 20), Fraction(1, 20))
 
@@ -407,6 +428,35 @@ class TestCoreSplit:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("n_seeds", [8192, 8193, 20_000])
+    def test_flux_counts_equal_the_snapshot_reference(self, monkeypatch, paper_train, n_seeds):
+        """cantorus_flux on 1, 2, 3 and 8 workers gives snapshot_flux's samples, flux,
+        stderr and crossing count bit for bit, from one block (8192 seeds) to eight.
+        Each block adds its two counts under a lock, stressed as in
+        test_transport_counts_equal_the_record_curve by a 1 us switch interval."""
+        want = snapshot_flux(280.0, paper_train, 10 * np.pi, n_seeds, n_replicates=3, rng_seed=n_seeds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(classical, "_WORKERS", workers)
+                got = cantorus_flux(280.0, paper_train, 10 * np.pi, n_seeds, n_replicates=3, rng_seed=n_seeds)
+                assert got.samples.tobytes() == want.samples.tobytes()
+                assert (got.flux, got.stderr, got.n_crossings) == (want.flux, want.stderr, want.n_crossings)
+                assert type(got.n_crossings) is int
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("k,n_seeds", [(5.0, 20_000), (280.0, 1)], ids=["unbroken-torus", "one-seed"])
+    def test_flux_floor_counts_equal_the_snapshot_reference(self, monkeypatch, paper_train, k, n_seeds):
+        """A run below the 100-crossing floor raises StatisticsError with the reference's count."""
+        monkeypatch.setattr(classical, "_WORKERS", 3)
+        with pytest.raises(StatisticsError) as want:
+            snapshot_flux(k, paper_train, 10 * np.pi, n_seeds, n_replicates=2)
+        with pytest.raises(StatisticsError) as got:
+            cantorus_flux(k, paper_train, 10 * np.pi, n_seeds, n_replicates=2)
+        assert got.value.count == want.value.count and type(got.value.count) is int
+
     def test_worker_count_does_not_change_output(self, monkeypatch, paper_train):
         """evolve_ensemble (both backends, on the one-pulse train to keep the
         symplectic cost down), kick_cycle and cantorus_flux give the same bytes
@@ -463,6 +513,7 @@ class TestCoreSplit:
         phi, rho = random_band_states(np.random.default_rng(5), 20_000)
         p = SimParams(kick_strength=270.0, scaled_planck=2.6)
         classical.evolve_ensemble(ClassicalEnsemble(phi, rho), p, paper_train, 1, method=method)
+        classical.kick_cycle(phi, rho, 270.0, paper_train, method=method)
         classical.cantorus_flux(270.0, paper_train, 10 * np.pi, n_seeds=20_000, n_replicates=1)
 
         main = threading.main_thread()

@@ -189,6 +189,21 @@ class TestRunScenario:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
 
+    def test_flux_keeps_no_snapshot_record(self, tmp_path):
+        """A flux run of DEFAULT_CONFIG (8 replicates of 100,000 seeds) peaks under 5 MiB of
+        traced memory, where each replicate's (2, 100,000, 2) kick_cycle record took 3.05 MiB."""
+        text = DEFAULT_CONFIG.replace("output_dir = runs", f"output_dir = {tmp_path}")
+        cfg = parse_config(text.replace("scenario = transport", "scenario = flux"))
+        # SciPy loads here, so that its import is not traced.
+        cli.classical.pendulum_segment(np.zeros(1), np.ones(1), 1.0, 0.1, method="elliptic")
+        tracemalloc.start()
+        try:
+            run_scenario(cfg, stamp="mem")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20
+
     def test_negative_zero_eta_is_written_as_zero(self, tmp_path):
         """se_probability = -0 is the value 0: in the canonical config and in the waterfall header."""
         text = TINY.format(out=tmp_path / "runs").replace("scenario = transport", "scenario = waterfall")
