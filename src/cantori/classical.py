@@ -21,19 +21,21 @@ scenarios and configuration checks never load SciPy.
 Every kernel returns phi wrapped into [0, 2*pi) by _wrap.  Every kick loop
 runs in _recorded_kicks, on one path: it cuts the trajectories once per run
 into contiguous blocks (one block for 8192 or fewer, else blocks of at most
-8192, the block count a multiple of the cores the process may use), and each
-block runs every cycle on a pool thread and hands its state after each cycle
-to what the caller keeps.  evolve_ensemble, poincare_section and kick_cycle
-keep (phi, rho) snapshots, 16 bytes per trajectory and kick; transport_counts
-keeps only each kick's count of |rho| beyond a boundary, and cantorus_flux
-each block's start mask of rho below the boundary and its two crossing
-counts, so their memory is the ensemble's current state.  Each segment, dark
-ones as k = 0, goes through _driven and its finiteness check.  The kernels
-work element by element and release the GIL, so the output is bitwise that
-of one kernel call per segment on the whole ensemble.  The workers run only
-private functions and this module's own binding of analysis.count_outside,
-so every public function of cantori is entered and left on the calling
-thread.  Neither a run nor a segment returns a non-finite point.
+8192, the block count a multiple of the cores the process may use), each
+block runs every cycle on a pool thread and returns what the caller's keep
+makes of its state after each cycle, and the caller sums or stores the
+blocks' lists.  The blocks share no state.  evolve_ensemble, poincare_section
+and kick_cycle keep (phi, rho) snapshots, 16 bytes per trajectory and kick,
+which each block writes into its own slice of one array; transport_counts
+keeps each kick's count of |rho| beyond a boundary, and cantorus_flux each
+block's outward and inward crossing counts, so their memory is the
+ensemble's current state.  Each segment, dark ones as k = 0, goes through
+_driven and its finiteness check.  The kernels work element by element and
+release the GIL, so the output is bitwise that of one kernel call per
+segment on the whole ensemble.  The workers run only private functions and
+this module's own binding of analysis.count_outside, so every public
+function of cantori is entered and left on the calling thread.  Neither a
+run nor a segment returns a non-finite point.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from __future__ import annotations
 import contextvars
 import functools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -237,16 +238,17 @@ def pendulum_segment(phi, rho, k, duration: float, method: str = "symplectic"):
     return phi, rho
 
 
-def _kick_block(block: slice, phi, rho, segments: list, method: str, n_kicks: int, keep) -> None:
-    """Run one block's n_kicks cycles from its start (phi, rho); keep(block, i, phi, rho) gets the
-    state after cycle i, the start as i = 0.  Every (duration, k) segment goes through _driven, a
-    dark one with k = 0, and the final state through the output check."""
-    keep(block, 0, phi, rho)
+def _kick_block(block: slice, phi, rho, segments: list, method: str, n_kicks: int, keep) -> list:
+    """Run one block's n_kicks cycles from its start (phi, rho) and return what keep(block, i, phi,
+    rho) returns for its state after each cycle i, the start as i = 0.  Every (duration, k) segment
+    goes through _driven, a dark one with k = 0, and the final state through the output check."""
+    kept = [keep(block, 0, phi, rho)]
     for i in range(1, n_kicks + 1):
         for duration, k in segments:
             phi, rho = _driven(phi, rho, k, duration, method)
-        keep(block, i, phi, rho)
+        kept.append(keep(block, i, phi, rho))
     _require_finite(phi, rho, "output")
+    return kept
 
 
 @functools.cache
@@ -254,24 +256,17 @@ def _executor(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="cantori-kicks")
 
 
-def _recorded_kicks(phi, rho, k, train: PulseTrain, n_kicks: int, method: str, keep=None):
-    """Run n_kicks cycles from (phi, rho) and hand each block's state after every cycle, the start
-    as cycle 0, to keep(block, i, phi, rho) on the block's worker; block is the block's slice of
-    the raveled ensemble.  Without keep, returns the snapshots (n_kicks + 1, *phi.shape, 2) of
-    (phi, rho).  Every block, an empty ensemble's one empty block included, runs on the pool as
-    the module docstring says; once all are done, the first error is raised.  A NaN or inf within
-    the run fails the next segment's input check; one in a block's final state raises
-    NumericalDomainError("non-finite phase-space output")."""
+def _recorded_kicks(phi, rho, k, train: PulseTrain, n_kicks: int, method: str, keep) -> list:
+    """Run n_kicks cycles from (phi, rho) and return, in block order, each block's list of what
+    keep(block, i, phi, rho) returns on the block's worker for its state after cycles 0 ... n_kicks;
+    block is the block's slice of the raveled ensemble.  Every block, an empty ensemble's one empty
+    block included, runs on the pool as the module docstring says; once all are done, the first
+    error is raised.  A NaN or inf within the run fails the next segment's input check; one in a
+    block's final state raises NumericalDomainError("non-finite phase-space output")."""
     if n_kicks < 0:
         raise ParameterError(f"n_kicks must be >= 0, got {n_kicks}")
     phi, rho, k = _check_inputs(phi, rho, k, method)
     segments = [(float(d), k if driven else 0.0) for d, driven in train.segments]
-    snaps = None
-    if keep is None:
-        snaps = np.empty((n_kicks + 1, phi.size, 2))
-
-        def keep(block, i, p, r):
-            snaps[i, block, 0], snaps[i, block, 1] = p, r
     n_blocks = -(-phi.size // _BLOCK)
     n_blocks = -(-n_blocks // _WORKERS) * _WORKERS if n_blocks > 1 else 1
     cuts = [phi.size * i // n_blocks for i in range(n_blocks + 1)]
@@ -281,14 +276,24 @@ def _recorded_kicks(phi, rho, k, train: PulseTrain, n_kicks: int, method: str, k
                                           flat_rho[a:b], segments, method, n_kicks, keep)
                for a, b in zip(cuts[:-1], cuts[1:])]
     wait(futures)
-    for future in futures:
-        future.result()
-    return None if snaps is None else snaps.reshape(n_kicks + 1, *phi.shape, 2)
+    return [future.result() for future in futures]
+
+
+def _snapshots(phi, rho, k, train: PulseTrain, n_kicks: int, method: str) -> np.ndarray:
+    """The (n_kicks + 1, *phi.shape, 2) snapshots of (phi, rho) after cycles 0 ... n_kicks; each
+    block writes its own slice of the one array."""
+    # No rows for a negative n_kicks, which _recorded_kicks refuses before any block runs.
+    snaps = np.empty((max(n_kicks + 1, 0), np.size(phi), 2))
+
+    def keep(block, i, p, r):
+        snaps[i, block, 0], snaps[i, block, 1] = p, r
+    _recorded_kicks(phi, rho, k, train, n_kicks, method, keep)
+    return snaps.reshape(n_kicks + 1, *np.shape(phi), 2)
 
 
 def kick_cycle(phi, rho, k, train: PulseTrain, method: str = "symplectic"):
     """Apply one full pulse-train cycle; phi is not wrapped first."""
-    snaps = _recorded_kicks(phi, rho, k, train, 1, method)
+    snaps = _snapshots(phi, rho, k, train, 1, method)
     return snaps[1, ..., 0], snaps[1, ..., 1]
 
 
@@ -301,8 +306,8 @@ def evolve_ensemble(
 ) -> TrajectoryRecord:
     """Evolve an ensemble for n_kicks cycles, recording a snapshot at kicks 0..n_kicks."""
     n_kicks = params.n_kicks if n_kicks is None else n_kicks
-    snaps = _recorded_kicks(_wrap(ensemble.phi), ensemble.rho, params.kick_strength,
-                            train or params.pulse_train(), n_kicks, method)
+    snaps = _snapshots(_wrap(ensemble.phi), ensemble.rho, params.kick_strength,
+                       train or params.pulse_train(), n_kicks, method)
     return TrajectoryRecord(np.arange(n_kicks + 1), snaps[..., 0], snaps[..., 1])
 
 
@@ -310,19 +315,11 @@ def transport_counts(ensemble: ClassicalEnsemble, params: SimParams, boundary: f
                      method: str = "symplectic") -> np.ndarray:
     """Trajectories with |rho| > boundary at kicks 0..params.n_kicks of the params' pulse train:
     the counts that analysis.transport_curve_classical takes from evolve_ensemble's record, bit
-    for bit, with no record kept.  Each block counts its own trajectories after every cycle on its
-    worker, and the blocks' counts are summed."""
-    totals = np.zeros(params.n_kicks + 1, dtype=np.intp)
-    lock = threading.Lock()
-
-    def keep(block, i, phi, rho):
-        count = count_outside(rho, boundary)
-        with lock:
-            totals[i] += count
-
-    _recorded_kicks(_wrap(ensemble.phi), ensemble.rho, params.kick_strength, params.pulse_train(),
-                    params.n_kicks, method, keep)
-    return totals
+    for bit, with no record kept.  Each block returns its own trajectories' count after every cycle
+    from its worker, and the blocks' counts are summed."""
+    blocks = _recorded_kicks(_wrap(ensemble.phi), ensemble.rho, params.kick_strength, params.pulse_train(),
+                             params.n_kicks, method, lambda block, i, phi, rho: count_outside(rho, boundary))
+    return np.sum(blocks, axis=0)
 
 
 def poincare_section(seeds, k: float, train: PulseTrain, n_kicks: int) -> np.ndarray:
@@ -331,7 +328,7 @@ def poincare_section(seeds, k: float, train: PulseTrain, n_kicks: int) -> np.nda
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     if seeds.ndim != 2 or seeds.shape[1] != 2 or not len(seeds):
         raise ParameterError(f"seeds must have shape (n, 2) with n >= 1, got {seeds.shape}")
-    return _recorded_kicks(_wrap(seeds[:, 0]), seeds[:, 1], k, train, n_kicks, "elliptic").reshape(-1, 2)
+    return _snapshots(_wrap(seeds[:, 0]), seeds[:, 1], k, train, n_kicks, "elliptic").reshape(-1, 2)
 
 
 def cantorus_flux(
@@ -357,9 +354,9 @@ def cantorus_flux(
     uniform fill measures the turnstile: the band density near the boundary
     depletes on subsequent cycles and the crossing counts decay, so
     replicates are independent seedings rather than later cycles of one run.
-    Each block of a replicate's seeds keeps its start mask of rho < boundary
-    and, after the cycle, adds its outward and inward counts on its worker, so
-    no snapshot record is kept.
+    Each block of a replicate's seeds returns its outward and inward counts
+    after the cycle, reading its start side from the seeds, which the kernels
+    never write, so no snapshot record is kept; the blocks' pairs are summed.
     """
     if n_seeds < 1 or n_replicates < 1:
         raise ParameterError(f"need n_seeds >= 1 and n_replicates >= 1, got {n_seeds} and {n_replicates}")
@@ -367,25 +364,19 @@ def cantorus_flux(
         raise ParameterError(f"need rng_seed >= 0 and a finite boundary, got {rng_seed} and {boundary}")
     area_per_seed = (TWO_PI * 2.0 * TWO_PI) / n_seeds
     counts = []        # crossings out, then in, per replicate
-    starts = {}        # each block's start mask rho < boundary, by its first index
-    lock = threading.Lock()
 
-    def keep(block, i, phi, rho):
-        if i == 0:
-            starts[block.start] = rho < boundary
-            return
-        below, above = starts.pop(block.start), rho > boundary
-        out, back = int(np.count_nonzero(below & above)), int(np.count_nonzero(~below & ~above))
-        with lock:
-            counts[-2] += out
-            counts[-1] += back
+    # Reads the running replicate's seed_rho, which the kernels never write.
+    def crossings(block, i, phi, rho):
+        if i:
+            below, above = seed_rho[block] < boundary, rho > boundary
+            return int(np.count_nonzero(below & above)), int(np.count_nonzero(~below & ~above))
 
     for rep in range(n_replicates):
         rng = np.random.default_rng((rng_seed, rep))
         phi = rng.uniform(0.0, TWO_PI, n_seeds)
-        rho = rng.uniform(boundary - TWO_PI, boundary + TWO_PI, n_seeds)
-        counts += [0, 0]
-        _recorded_kicks(phi, rho, k, train, 1, "elliptic", keep)
+        seed_rho = rng.uniform(boundary - TWO_PI, boundary + TWO_PI, n_seeds)
+        blocks = _recorded_kicks(phi, seed_rho, k, train, 1, "elliptic", crossings)
+        counts += map(sum, zip(*(kept[1] for kept in blocks)))
     total = sum(counts)
     if total < 100:
         raise StatisticsError(

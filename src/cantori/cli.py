@@ -280,9 +280,10 @@ def parse_config(text: str) -> RunConfig:
     chosen = written.get(scenario, {})
     options = {name: chosen[name] if name in chosen else spec.parse(spec.fallback.format_map(vars(params)))
                for name, spec in SCENARIOS[scenario].options.items()}
-    # Beyond the last ladder site the quantum fraction outside reads 0 by construction.
-    if scenario == "transport" and options["boundary_over_pi"] * np.pi >= edge:
-        raise ConfigError(f"[transport] boundary_over_pi: boundary at or beyond the ladder edge {edge:.6g}")
+    # Beyond the last ladder site the quantum fraction outside reads 0 by construction, and
+    # below 0 every momentum is outside.
+    if scenario == "transport" and not 0 <= options["boundary_over_pi"] * np.pi < edge:
+        raise ConfigError(f"[transport] boundary_over_pi: boundary outside [0, ladder edge {edge:.6g})")
     return RunConfig(scenario, output_dir, params, dict(cp[scenario]) if scenario in cp else {}, options)
 
 

@@ -406,13 +406,30 @@ class TestCoreSplit:
         p1 = np.mod(p1 + r1 * float(tail), TWO_PI)
         assert np.array_equal(p, p1) and np.array_equal(r, r1)
 
+    @pytest.mark.parametrize("n", [0, 1, 8192, 8193, 20_000])
+    def test_runner_returns_each_blocks_list_in_block_order(self, monkeypatch, n):
+        """_recorded_kicks returns, on 1, 2, 3 and 8 workers, one list per block in block
+        order, each holding what keep returned after cycles 0 ... n_kicks, and the blocks'
+        slices tile range(n)."""
+        phi, rho = random_band_states(np.random.default_rng(n), n)
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(classical, "_WORKERS", workers)
+            blocks = classical._recorded_kicks(phi, rho, 5.0, ONE_PULSE, 3, "elliptic",
+                                               lambda block, i, p, r: (block.start, block.stop, i))
+            assert isinstance(blocks, list)
+            assert len(blocks) == 1 if n <= classical._BLOCK else len(blocks) % workers == 0
+            slices = [kept[0][:2] for kept in blocks]
+            for (a, b), kept in zip(slices, blocks):
+                assert kept == [(a, b, i) for i in range(4)]
+            assert [j for a, b in slices for j in range(a, b)] == list(range(n))
+
     @pytest.mark.parametrize("n", [1, 60, 2000, 8193, 10_000])
     def test_transport_counts_equal_the_record_curve(self, monkeypatch, n):
         """transport_counts on 1, 2, 3 and 8 workers gives the fractions of
         transport_curve_classical on evolve_ensemble's record, bit for bit.  The
-        blocks add into one total under a lock, stressed here by eight blocks on
-        eight workers under a 1 us switch interval: an unlocked add that gives up
-        the GIL between its read and its write loses counts and fails."""
+        blocks share no state: each returns its own counts and the caller sums
+        them, stressed here by eight blocks on eight workers under a 1 us switch
+        interval."""
         p = SimParams(kick_strength=270.0, scaled_planck=2.6, n_trajectories=n, n_kicks=10, rng_seed=n,
                       init_momentum_sigma=30.0)
         ensemble = thermal_ensemble(p)
@@ -432,8 +449,9 @@ class TestCoreSplit:
     def test_flux_counts_equal_the_snapshot_reference(self, monkeypatch, paper_train, n_seeds):
         """cantorus_flux on 1, 2, 3 and 8 workers gives snapshot_flux's samples, flux,
         stderr and crossing count bit for bit, from one block (8192 seeds) to eight.
-        Each block adds its two counts under a lock, stressed as in
-        test_transport_counts_equal_the_record_curve by a 1 us switch interval."""
+        The blocks share no state: each returns its two counts and the caller sums
+        them, stressed as in test_transport_counts_equal_the_record_curve by a 1 us
+        switch interval."""
         want = snapshot_flux(280.0, paper_train, 10 * np.pi, n_seeds, n_replicates=3, rng_seed=n_seeds)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

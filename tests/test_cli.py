@@ -144,10 +144,12 @@ class TestParse:
         assert cfg.options[name] == expected
 
     @pytest.mark.parametrize(
-        "basis_size,boundary_over_pi,ok", [(16, "6.6", True), (16, "6.7", False), (8, "10", False)]
+        "basis_size,boundary_over_pi,ok",
+        [(16, "6.6", True), (16, "6.7", False), (8, "10", False), (16, "-1", False), (16, "0", True)]
     )
     def test_transport_boundary_inside_ladder(self, basis_size, boundary_over_pi, ok):
-        """The ladder ends at (basis_size/2)*scaled_planck: 20.8 at N = 16, 10.4 at N = 8."""
+        """The ladder ends at (basis_size/2)*scaled_planck: 20.8 at N = 16, 10.4 at N = 8; a transport
+        boundary must lie in [0, edge)."""
         text = DEFAULT_CONFIG.replace("basis_size = 128", f"basis_size = {basis_size}")
         # The first boundary_over_pi is the [transport] one.
         text = text.replace("boundary_over_pi = 10", f"boundary_over_pi = {boundary_over_pi}", 1)
