@@ -24,11 +24,12 @@ into contiguous blocks (one block for 8192 or fewer, else blocks of at most
 8192, the block count a multiple of the cores the process may use), each
 block runs every cycle on a pool thread and returns what the caller's keep
 makes of its state after each cycle, and the caller sums or stores the
-blocks' lists.  The blocks share no state.  evolve_ensemble, poincare_section
-and kick_cycle keep (phi, rho) snapshots, 16 bytes per trajectory and kick,
-which each block writes into its own slice of one array; transport_counts
-keeps each kick's count of |rho| beyond a boundary, and cantorus_flux each
-block's outward and inward crossing counts, so their memory is the
+blocks' lists.  The blocks share no state.  Three public functions run it:
+evolve_ensemble keeps (phi, rho) snapshots, 16 bytes per trajectory and kick,
+which each block writes into its own slice of one record (the Poincare
+section is its elliptic record); transport_counts keeps each kick's count of
+|rho| beyond a boundary, and cantorus_flux each block's outward and inward
+crossing counts, both on the elliptic backend, so their memory is the
 ensemble's current state.  Each segment, dark ones as k = 0, goes through
 _driven and its finiteness check.  The kernels work element by element and
 release the GIL, so the output is bitwise that of one kernel call per
@@ -279,24 +280,6 @@ def _recorded_kicks(phi, rho, k, train: PulseTrain, n_kicks: int, method: str, k
     return [future.result() for future in futures]
 
 
-def _snapshots(phi, rho, k, train: PulseTrain, n_kicks: int, method: str) -> np.ndarray:
-    """The (n_kicks + 1, *phi.shape, 2) snapshots of (phi, rho) after cycles 0 ... n_kicks; each
-    block writes its own slice of the one array."""
-    # No rows for a negative n_kicks, which _recorded_kicks refuses before any block runs.
-    snaps = np.empty((max(n_kicks + 1, 0), np.size(phi), 2))
-
-    def keep(block, i, p, r):
-        snaps[i, block, 0], snaps[i, block, 1] = p, r
-    _recorded_kicks(phi, rho, k, train, n_kicks, method, keep)
-    return snaps.reshape(n_kicks + 1, *np.shape(phi), 2)
-
-
-def kick_cycle(phi, rho, k, train: PulseTrain, method: str = "symplectic"):
-    """Apply one full pulse-train cycle; phi is not wrapped first."""
-    snaps = _snapshots(phi, rho, k, train, 1, method)
-    return snaps[1, ..., 0], snaps[1, ..., 1]
-
-
 def evolve_ensemble(
     ensemble: ClassicalEnsemble,
     params: SimParams,
@@ -304,31 +287,29 @@ def evolve_ensemble(
     n_kicks: int | None = None,
     method: str = "symplectic",
 ) -> TrajectoryRecord:
-    """Evolve an ensemble for n_kicks cycles, recording a snapshot at kicks 0..n_kicks."""
+    """Evolve an ensemble for n_kicks cycles (params.n_kicks by default) of the train (the params'
+    by default), phi wrapped first, and record its (phi, rho) snapshots at kicks 0 ... n_kicks;
+    each block writes its own slice of the record."""
     n_kicks = params.n_kicks if n_kicks is None else n_kicks
-    snaps = _snapshots(_wrap(ensemble.phi), ensemble.rho, params.kick_strength,
-                       train or params.pulse_train(), n_kicks, method)
-    return TrajectoryRecord(np.arange(n_kicks + 1), snaps[..., 0], snaps[..., 1])
+    # No rows for a negative n_kicks, which _recorded_kicks refuses before any block runs.
+    snaps = np.empty((2, max(n_kicks + 1, 0), ensemble.phi.size))
+
+    def keep(block, i, phi, rho):
+        snaps[0, i, block], snaps[1, i, block] = phi, rho
+    _recorded_kicks(_wrap(ensemble.phi), ensemble.rho, params.kick_strength, train or params.pulse_train(),
+                    n_kicks, method, keep)
+    phi, rho = snaps.reshape(2, n_kicks + 1, *ensemble.phi.shape)
+    return TrajectoryRecord(np.arange(n_kicks + 1), phi, rho)
 
 
-def transport_counts(ensemble: ClassicalEnsemble, params: SimParams, boundary: float,
-                     method: str = "symplectic") -> np.ndarray:
-    """Trajectories with |rho| > boundary at kicks 0..params.n_kicks of the params' pulse train:
-    the counts that analysis.transport_curve_classical takes from evolve_ensemble's record, bit
-    for bit, with no record kept.  Each block returns its own trajectories' count after every cycle
-    from its worker, and the blocks' counts are summed."""
+def transport_counts(ensemble: ClassicalEnsemble, params: SimParams, boundary: float) -> np.ndarray:
+    """Trajectories with |rho| > boundary at kicks 0..params.n_kicks of the params' pulse train, on
+    the elliptic backend: the counts that analysis.transport_curve_classical takes from
+    evolve_ensemble's elliptic record, bit for bit, with no record kept.  Each block returns its own
+    trajectories' count after every cycle from its worker, and the blocks' counts are summed."""
     blocks = _recorded_kicks(_wrap(ensemble.phi), ensemble.rho, params.kick_strength, params.pulse_train(),
-                             params.n_kicks, method, lambda block, i, phi, rho: count_outside(rho, boundary))
+                             params.n_kicks, "elliptic", lambda block, i, phi, rho: count_outside(rho, boundary))
     return np.sum(blocks, axis=0)
-
-
-def poincare_section(seeds, k: float, train: PulseTrain, n_kicks: int) -> np.ndarray:
-    """Iterate the stroboscopic map (elliptic backend) from each (phi, rho) row of the (n, 2)
-    seeds; returns the points of kicks 0 ... n_kicks, kick-major, shape ((n_kicks + 1) * n, 2)."""
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if seeds.ndim != 2 or seeds.shape[1] != 2 or not len(seeds):
-        raise ParameterError(f"seeds must have shape (n, 2) with n >= 1, got {seeds.shape}")
-    return _snapshots(_wrap(seeds[:, 0]), seeds[:, 1], k, train, n_kicks, "elliptic").reshape(-1, 2)
 
 
 def cantorus_flux(

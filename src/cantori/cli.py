@@ -10,7 +10,8 @@ section or key and parses every written value of every section once, then the
 chosen scenario's options take their fallbacks, all before anything runs.
 Unreadable config text (not UTF-8, or not INI) is refused like a bad value.
 A [physical] section whose Rabi frequency exceeds 10% of the smallest detuning
-is used, with one "warning: [physical] ..." line on stderr.
+is used, with one "warning: [physical] ..." line on stderr once the whole
+config has passed its checks; a refused config prints only its error line.
 
 A scenario computes and writes nothing: it is a generator of its RunConfig
 that yields one (name, templates, data, header) table per output file.
@@ -253,6 +254,7 @@ def parse_config(text: str) -> RunConfig:
     output_dir = written["run"].get("output_dir", "runs")
 
     values = written.get("params", {})
+    caught = []         # [physical] warnings, printed only once every check has passed
     if "physical" in written:
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -260,8 +262,6 @@ def parse_config(text: str) -> RunConfig:
                 physical = PhysicalParams(**written["physical"])
         except (TypeError, ParameterError) as exc:
             raise ConfigError(f"[physical]: {exc}") from None
-        for w in caught:        # one stderr line each, naming the section
-            print(f"warning: [physical] {w.message}", file=sys.stderr)
         values.update(zip(("kick_strength", "scaled_planck"), physical_to_scaled(physical)))
     try:
         params = SimParams(**values)
@@ -284,6 +284,8 @@ def parse_config(text: str) -> RunConfig:
     # below 0 every momentum is outside.
     if scenario == "transport" and not 0 <= options["boundary_over_pi"] * np.pi < edge:
         raise ConfigError(f"[transport] boundary_over_pi: boundary outside [0, ladder edge {edge:.6g})")
+    for w in caught:        # one stderr line each, naming the section
+        print(f"warning: [physical] {w.message}", file=sys.stderr)
     return RunConfig(scenario, output_dir, params, dict(cp[scenario]) if scenario in cp else {}, options)
 
 
@@ -351,7 +353,7 @@ def _scenario_transport(cfg: RunConfig):
     p = cfg.params
     boundary = cfg.options["boundary_over_pi"] * np.pi
 
-    counts = classical.transport_counts(classical.thermal_ensemble(p), p, boundary, method="elliptic")
+    counts = classical.transport_counts(classical.thermal_ensemble(p), p, boundary)
     yield ("classical.dat", *_table(np.arange(p.n_kicks + 1), counts / p.n_trajectories),
            f"classical fraction outside |rho|={boundary:.6g}, k={p.kick_strength}\nkick fraction_outside")
 
@@ -386,9 +388,9 @@ def _scenario_poincare(cfg: RunConfig):
     n_seeds, n_kicks = cfg.options["n_seeds"], cfg.options["n_kicks"]
     rho_max = cfg.options["rho_max_over_pi"] * np.pi
     rho_seed = np.linspace(-rho_max, rho_max, n_seeds)
-    seeds = np.column_stack([np.full(n_seeds, np.pi), rho_seed])
-    points = classical.poincare_section(seeds, p.kick_strength, p.pulse_train(), n_kicks)
-    yield ("poincare.dat", *_table(points),
+    seeds = classical.ClassicalEnsemble(np.full(n_seeds, np.pi), rho_seed)
+    rec = classical.evolve_ensemble(seeds, p, n_kicks=n_kicks, method="elliptic")
+    yield ("poincare.dat", *_table(rec.phi.ravel(), rec.rho.ravel()),
            f"Poincare section, k={p.kick_strength}, {n_seeds} seeds x {n_kicks} kicks\nphi rho")
 
 

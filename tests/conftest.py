@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cantori.model import build_pulse_train
+from cantori.classical import ClassicalEnsemble, evolve_ensemble
+from cantori.model import SimParams, build_pulse_train
 
 # Every property test draws the same examples on every run and writes no example database.
 settings.register_profile("cantori", derandomize=True, database=None, deadline=None)
@@ -12,6 +13,12 @@ settings.load_profile("cantori")
 @pytest.fixture(scope="session")
 def paper_train():
     return build_pulse_train("1/20", "1/10")
+
+
+def one_cycle(phi, rho, k, train, method):
+    """(phi, rho) after one cycle of train at kick strength k: row 1 of evolve_ensemble's record."""
+    rec = evolve_ensemble(ClassicalEnsemble(phi, rho), SimParams(kick_strength=k), train, 1, method)
+    return rec.phi[1], rec.rho[1]
 
 
 def double_pulse_profile(tau, alpha=1 / 20, delta=1 / 10):

@@ -1,18 +1,20 @@
-"""Count the lines of the cantori sources: total, and code.
+"""Count the lines of the cantori sources, total and code, and their public names.
 
 A code line holds a token that is not a comment or a docstring (a string
 that is a statement on its own); blank lines hold none.  This is the count
-that the BENCH files' ``src_lines`` and ROADMAP's sizes use.  Run it from
-the repository root:
+that the BENCH files' ``src_lines`` and ROADMAP's sizes use.  The public
+count is the number of module-level functions and classes whose names do
+not start with an underscore.  Run it from the repository root:
 
     python tests/src_lines.py [SOURCE_DIR]
 
 SOURCE_DIR defaults to ``src/cantori``.  It prints one row per module and
-one for the whole directory.
+one for the whole directory: total lines, code lines, public names.
 """
 
 from __future__ import annotations
 
+import ast
 import sys
 import tokenize
 from pathlib import Path
@@ -21,8 +23,8 @@ from pathlib import Path
 _LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 
-def count(path: Path) -> tuple[int, int]:
-    """(total lines, code lines) of one Python file."""
+def count(path: Path) -> tuple[int, int, int]:
+    """(total lines, code lines, public functions and classes) of one Python file."""
     with path.open("rb") as f:
         tokens = [t for t in tokenize.tokenize(f.readline) if t.type not in (tokenize.COMMENT, tokenize.NL)]
     code = set()
@@ -31,14 +33,17 @@ def count(path: Path) -> tuple[int, int]:
         docstring = tok.type == tokenize.STRING and before.type in _LAYOUT and after.type == tokenize.NEWLINE
         if tok.type not in _LAYOUT and not docstring:
             code.update(range(tok.start[0], tok.end[0] + 1))
-    return len(path.read_text().splitlines()), len(code)
+    text = path.read_text()
+    public = [node for node in ast.parse(text).body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    return len(text.splitlines()), len(code), len(public)
 
 
 def main(root: Path) -> None:
     rows = {path.name: count(path) for path in sorted(root.glob("*.py"))}
     rows[f"{root.parent.name}/"] = tuple(map(sum, zip(*rows.values())))
-    for name, (total, code) in rows.items():
-        print(f"{name:16} {total:6,} {code:6,}")
+    for name, (total, code, public) in rows.items():
+        print(f"{name:16} {total:6,} {code:6,} {public:4}")
 
 
 if __name__ == "__main__":

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from cantori.analysis import fraction_outside_quantum, transport_curve_classical
-from cantori.classical import cantorus_flux, evolve_ensemble, kick_cycle, thermal_ensemble
+from cantori.classical import cantorus_flux, evolve_ensemble, thermal_ensemble
 from cantori.model import SimParams, fourier_coefficient
 from cantori.quantum import DensityMatrix, build_floquet, evolve_density, momentum_ladder
 from cantori.wigner import negativity_volume, toroidal_wigner
-from conftest import fourier_integral_oracle
+from conftest import fourier_integral_oracle, one_cycle
 
 BOUNDARY = 10.0 * np.pi
 HBAR_K = 2.6
@@ -92,7 +92,7 @@ def test_criterion_02_kam_confinement(paper_train):
     rho = rng.uniform(-(BOUNDARY - 5.0), BOUNDARY - 5.0, n)
     escaped = np.zeros(n, dtype=bool)
     for _ in range(1000):
-        phi, rho = kick_cycle(phi, rho, 5.0, paper_train, method="elliptic")
+        phi, rho = one_cycle(phi, rho, 5.0, paper_train, "elliptic")
         escaped |= np.abs(rho) > BOUNDARY
     count = int(escaped.sum())
     report(2, count == 0, f"{count} of {n} trajectories crossed |rho| = 10*pi in 1000 kicks at k = 5")

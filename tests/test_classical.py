@@ -14,12 +14,11 @@ from cantori.classical import (
     StatisticsError,
     cantorus_flux,
     evolve_ensemble,
-    kick_cycle,
     pendulum_segment,
-    poincare_section,
     thermal_ensemble,
 )
 from cantori.model import ParameterError, SimParams, build_pulse_train
+from conftest import one_cycle
 
 TWO_PI = 2 * np.pi
 
@@ -112,8 +111,8 @@ class TestBackendAgreement:
     def test_single_kick_map(self, paper_train):
         rng = np.random.default_rng(2024)
         phi, rho = random_band_states(rng, 1000)
-        pe, re = kick_cycle(phi, rho, 270.0, paper_train, method="elliptic")
-        ps, rs = kick_cycle(phi, rho, 270.0, paper_train, method="symplectic")
+        pe, re = one_cycle(phi, rho, 270.0, paper_train, "elliptic")
+        ps, rs = one_cycle(phi, rho, 270.0, paper_train, "symplectic")
         assert np.max(circular_diff(pe, ps)) <= 1e-6
         assert np.max(np.abs(re - rs)) <= 1e-6
 
@@ -164,31 +163,31 @@ class TestEnsemble:
     def test_reflection_symmetry_of_cycle(self, paper_train):
         rng = np.random.default_rng(13)
         phi, rho = random_band_states(rng, 300)
-        p1, r1 = kick_cycle(phi, rho, 270.0, paper_train, method="elliptic")
-        p2, r2 = kick_cycle(np.mod(-phi, TWO_PI), -rho, 270.0, paper_train, method="elliptic")
+        p1, r1 = one_cycle(phi, rho, 270.0, paper_train, "elliptic")
+        p2, r2 = one_cycle(np.mod(-phi, TWO_PI), -rho, 270.0, paper_train, "elliptic")
         assert np.max(circular_diff(p2, np.mod(-p1, TWO_PI))) < 1e-7
         assert np.max(np.abs(r1 + r2)) < 1e-7
 
     @pytest.mark.parametrize("method", ["elliptic", "symplectic"])
     def test_kick_cycle_is_its_segment_calls(self, paper_train, method):
-        """One cycle is the public segment calls in schedule order, bit for bit;
-        phi outside [0, 2*pi) is not wrapped before the first segment."""
+        """One cycle of evolve_ensemble is the public segment calls in schedule order, bit
+        for bit, run from phi wrapped into [0, 2*pi)."""
         rng = np.random.default_rng(17)
         phi, rho = rng.uniform(-20.0, 20.0, 1000), rng.uniform(-40.0, 40.0, 1000)
-        p, r = kick_cycle(phi, rho, 270.0, paper_train, method=method)
+        p, r = one_cycle(phi, rho, 270.0, paper_train, method)
+        phi = classical._wrap(phi)
         for dur, driven in paper_train.segments:
             phi, rho = pendulum_segment(phi, rho, 270.0 if driven else 0.0, float(dur), method=method)
         assert np.array_equal(p, phi) and np.array_equal(r, rho)
 
     def test_phi_just_below_zero_wraps_to_zero(self, paper_train):
-        """np.mod(-1e-20, 2*pi) is exactly 2*pi, yet every phi a segment, a run or a
-        section returns lies in [0, 2*pi)."""
+        """np.mod(-1e-20, 2*pi) is exactly 2*pi, yet every phi a segment or a run
+        returns lies in [0, 2*pi)."""
         phi, rho = np.array([-1e-20]), np.array([0.0])
         outputs = [pendulum_segment(phi, rho, k, 0.1, method=method)[0]
                    for method in ("elliptic", "symplectic") for k in (0.0, 270.0)]
         p = SimParams(kick_strength=270.0, scaled_planck=2.6)
         outputs.append(evolve_ensemble(ClassicalEnsemble(phi, rho), p, paper_train, 1, method="elliptic").phi)
-        outputs.append(poincare_section(np.column_stack([phi, rho]), 270.0, paper_train, 1)[:, 0])
         for out in outputs:
             assert np.all((out >= 0.0) & (out < TWO_PI)), out
 
@@ -200,39 +199,22 @@ class TestEnsemble:
         phi = rng.uniform(0, TWO_PI, n)
         rho = rng.uniform(-(10 * np.pi - 5), 10 * np.pi - 5, n)
         for _ in range(100):
-            phi, rho = kick_cycle(phi, rho, 5.0, paper_train, method="elliptic")
+            phi, rho = one_cycle(phi, rho, 5.0, paper_train, "elliptic")
         assert np.all(np.abs(rho) < 10 * np.pi)
 
 
 class TestPoincare:
+    """The Poincare section is evolve_ensemble's elliptic record, as the poincare scenario writes it."""
+
+    @staticmethod
+    def section(phi, rho, k, train, n_kicks):
+        p = SimParams(kick_strength=k)
+        return evolve_ensemble(ClassicalEnsemble(phi, rho), p, train, n_kicks, method="elliptic")
+
     def test_zero_kick_horizontal_lines(self, paper_train):
-        seeds = [(0.0, 2.0), (1.0, -7.0)]
-        pts = poincare_section(seeds, 0.0, paper_train, 50)
-        for _, rho0 in seeds:
-            assert np.all(np.abs(pts[np.isclose(pts[:, 1], rho0), 1] - rho0) < 1e-12)
-
-    def test_empty_seeds_raise(self, paper_train):
-        with pytest.raises(ParameterError):
-            poincare_section(np.empty((0, 2)), 5.0, paper_train, 10)
-
-    def test_negative_kicks_raise(self, paper_train):
-        with pytest.raises(ParameterError, match="n_kicks"):
-            poincare_section([(0.0, 2.0)], 5.0, paper_train, -2)
-
-    @pytest.mark.parametrize("seeds", [np.zeros((3, 3)), [0.0, 1.0, 2.0], np.zeros((4, 1)), np.zeros((2, 2, 2))],
-                             ids=["three-columns", "one-triple", "one-column", "three-axes"])
-    def test_seed_shape_raises(self, paper_train, seeds):
-        with pytest.raises(ParameterError, match="shape"):
-            poincare_section(seeds, 5.0, paper_train, 3)
-
-    def test_points_are_the_ensemble_snapshots(self, paper_train):
-        """The section is evolve_ensemble's elliptic snapshots, kick by kick, bit for bit."""
-        seeds = np.column_stack([np.linspace(-1.0, 8.0, 7), np.linspace(-40.0, 40.0, 7)])
-        pts = poincare_section(seeds, 270.0, paper_train, 12)
-        p = SimParams(kick_strength=270.0, scaled_planck=2.6)
-        rec = evolve_ensemble(ClassicalEnsemble(seeds[:, 0], seeds[:, 1]), p, paper_train, n_kicks=12, method="elliptic")
-        assert pts.shape == (13 * 7, 2)
-        assert np.array_equal(pts, np.stack([rec.phi, rec.rho], axis=-1).reshape(-1, 2))
+        rho0 = np.array([2.0, -7.0])
+        rec = self.section([0.0, 1.0], rho0, 0.0, paper_train, 50)
+        assert np.all(np.abs(rec.rho - rho0) < 1e-12)
 
     def test_island_present_only_where_coefficient_nonzero(self, paper_train):
         # At low kick strength, orbits launched on a primary resonance with
@@ -242,19 +224,17 @@ class TestPoincare:
         k = 5.0
         excursions = {}
         for m in (4, 5):
-            seeds = np.column_stack([np.linspace(0, TWO_PI, 16, endpoint=False),
-                                     np.full(16, 2 * np.pi * m)])
-            rho = poincare_section(seeds, k, paper_train, 400)[:, 1].reshape(-1, 16)
+            rho = self.section(np.linspace(0, TWO_PI, 16, endpoint=False), np.full(16, 2 * np.pi * m),
+                               k, paper_train, 400).rho
             excursions[m] = np.max(rho.max(axis=0) - rho.min(axis=0))
         assert excursions[4] > 3.0 * excursions[5]
 
     def test_broken_cantorus_at_large_k(self, paper_train):
         # At k ~ 300 a chaotic orbit seeded just inside rho = 10*pi wanders
         # past it: no invariant curve survives there.
-        seeds = np.column_stack([np.linspace(0.1, TWO_PI, 8, endpoint=False),
-                                 np.full(8, 10 * np.pi - 2.0)])
-        pts = poincare_section(seeds, 300.0, paper_train, 200)
-        assert np.any(pts[:, 1] > 10 * np.pi + 2)
+        rec = self.section(np.linspace(0.1, TWO_PI, 8, endpoint=False), np.full(8, 10 * np.pi - 2.0),
+                           300.0, paper_train, 200)
+        assert np.any(rec.rho > 10 * np.pi + 2)
 
 
 class TestCantorusFlux:
@@ -330,7 +310,7 @@ class TestNonFiniteOutput:
         """At alpha = delta = 1/2 the cycle is one pulse, so no later segment checks its output."""
         train = build_pulse_train(Fraction(1, 2), Fraction(1, 2))
         with np.errstate(all="ignore"), pytest.raises(NumericalDomainError, match="non-finite phase-space output"):
-            kick_cycle(np.array([3.0]), np.array([1.0]), 1e308, train, method="elliptic")
+            one_cycle(np.array([3.0]), np.array([1.0]), 1e308, train, "elliptic")
 
 
 def separatrix_seeded(n, k, seed, lead=0.0):
@@ -351,7 +331,7 @@ def separatrix_seeded(n, k, seed, lead=0.0):
 
 def snapshot_flux(k, train, boundary, n_seeds, n_replicates=8, rng_seed=0):
     """cantorus_flux by its snapshot-record algorithm: each replicate's seeds drawn from the
-    same (rng_seed, rep) stream, run through kick_cycle and compared with the boundary
+    same (rng_seed, rep) stream, run one cycle through evolve_ensemble and compared with the boundary
     before and after; the reference that the worker-side counts must match bit for bit."""
     counts = []
     for rep in range(n_replicates):
@@ -359,7 +339,7 @@ def snapshot_flux(k, train, boundary, n_seeds, n_replicates=8, rng_seed=0):
         phi = rng.uniform(0.0, TWO_PI, n_seeds)
         rho = rng.uniform(boundary - TWO_PI, boundary + TWO_PI, n_seeds)
         below = rho < boundary
-        _, rho = kick_cycle(phi, rho, k, train, method="elliptic")
+        _, rho = one_cycle(phi, rho, k, train, "elliptic")
         above = rho > boundary
         counts += [int((below & above).sum()), int((~below & ~above).sum())]
     total = sum(counts)
@@ -388,7 +368,7 @@ class TestCoreSplit:
     @pytest.mark.parametrize("k", [270.0], ids=["scalar-k"])
     @pytest.mark.parametrize("method", ["elliptic", "symplectic"])
     def test_bitwise_equal_to_one_call(self, monkeypatch, n, k, method):
-        """kick_cycle on two workers equals one kernel call per segment on the whole
+        """One evolve_ensemble cycle on two workers equals one kernel call per segment on the whole
         ensemble, and its kernel calls run on pool threads at every size."""
         monkeypatch.setattr(classical, "_WORKERS", 2)
         kernel, threads = getattr(classical, f"_pendulum_{method}"), []
@@ -400,7 +380,7 @@ class TestCoreSplit:
         monkeypatch.setattr(classical, f"_pendulum_{method}", recording)
         (lead, _), (pulse, _), (tail, _) = ONE_PULSE.segments
         phi, rho = separatrix_seeded(n, k, n, float(lead))
-        p, r = kick_cycle(phi, rho, k, ONE_PULSE, method=method)
+        p, r = one_cycle(phi, rho, k, ONE_PULSE, method)
         assert threads and all(name.startswith("cantori-kicks") for name in threads), threads
         p1, r1 = kernel(np.mod(phi + rho * float(lead), TWO_PI), rho, k, float(pulse))
         p1 = np.mod(p1 + r1 * float(tail), TWO_PI)
@@ -440,7 +420,7 @@ class TestCoreSplit:
         try:
             for workers in (1, 2, 3, 8):
                 monkeypatch.setattr(classical, "_WORKERS", workers)
-                counts = classical.transport_counts(ensemble, p, 10 * np.pi, method="elliptic")
+                counts = classical.transport_counts(ensemble, p, 10 * np.pi)
                 assert (counts / n).tobytes() == curve.fraction_outside.tobytes()
         finally:
             sys.setswitchinterval(interval)
@@ -477,7 +457,7 @@ class TestCoreSplit:
 
     def test_worker_count_does_not_change_output(self, monkeypatch, paper_train):
         """evolve_ensemble (both backends, on the one-pulse train to keep the
-        symplectic cost down), kick_cycle and cantorus_flux give the same bytes
+        symplectic cost down), one paper-train cycle and cantorus_flux give the same bytes
         on 1, 2 and 3 workers."""
         lead = float(ONE_PULSE.segments[0][0])
         states = {n: separatrix_seeded(n, 270.0, n, lead) for n in (8192, 8193, 10_000)}
@@ -490,7 +470,7 @@ class TestCoreSplit:
                 for phi, rho in states.values():
                     rec = evolve_ensemble(ClassicalEnsemble(phi, rho), p, ONE_PULSE, n_kicks, method=method)
                     out += [rec.phi, rec.rho]
-            out += kick_cycle(*states[10_000], 270.0, paper_train, method="elliptic")
+            out += one_cycle(*states[10_000], 270.0, paper_train, "elliptic")
             out.append(cantorus_flux(280.0, paper_train, 10 * np.pi, n_seeds=20_000, n_replicates=2).samples)
             outputs.append(b"".join(np.ascontiguousarray(o).tobytes() for o in out))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
@@ -505,7 +485,7 @@ class TestCoreSplit:
 
         monkeypatch.setattr(classical, "_pendulum_symplectic", recording)
         phi, rho = separatrix_seeded(8193, 270.0, 8193, float(paper_train.segments[0][0]))
-        kick_cycle(phi, rho, 270.0, paper_train, method="elliptic")
+        one_cycle(phi, rho, 270.0, paper_train, "elliptic")
         threads = {thread for thread, _ in calls}
         assert threading.main_thread() not in threads
         # All 17 seeds enter the first pulse on the separatrix, at least 5 in each of the 3 blocks.
@@ -531,13 +511,12 @@ class TestCoreSplit:
         phi, rho = random_band_states(np.random.default_rng(5), 20_000)
         p = SimParams(kick_strength=270.0, scaled_planck=2.6)
         classical.evolve_ensemble(ClassicalEnsemble(phi, rho), p, paper_train, 1, method=method)
-        classical.kick_cycle(phi, rho, 270.0, paper_train, method=method)
         classical.cantorus_flux(270.0, paper_train, 10 * np.pi, n_seeds=20_000, n_replicates=1)
 
         main = threading.main_thread()
         names = {name for name, _ in calls}
         # The runner makes no public segment calls.
-        assert {"evolve_ensemble", "cantorus_flux", "kick_cycle"} <= names
+        assert {"evolve_ensemble", "cantorus_flux"} <= names
         assert "pendulum_segment" not in names
         assert all(thread is main for name, thread in calls if name in public)
         assert all(thread is not main for name, thread in calls if name not in public)
@@ -550,7 +529,7 @@ class TestCoreSplit:
             phi, rho = random_band_states(np.random.default_rng(1), n)
             rho[n // 2] = 1e300
             with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
-                kick_cycle(phi, rho, 270.0, paper_train, method="elliptic")
+                one_cycle(phi, rho, 270.0, paper_train, "elliptic")
 
     def test_non_finite_state_on_a_worker_raises_in_the_caller(self, monkeypatch, paper_train):
         """A NaN that a block's kernel returns mid-run fails the finiteness check
@@ -589,7 +568,7 @@ class TestCoreSplit:
         monkeypatch.setattr(classical, "_pendulum_elliptic", poisoned)
         phi, rho = random_band_states(np.random.default_rng(3), 60)
         with pytest.raises(NumericalDomainError, match="non-finite phase-space input"):
-            kick_cycle(phi, rho, 270.0, ONE_PULSE, method="elliptic")
+            one_cycle(phi, rho, 270.0, ONE_PULSE, "elliptic")
 
 
 def two_branch_elliptic(phi, rho, k, duration):

@@ -193,7 +193,8 @@ class TestRunScenario:
 
     def test_flux_keeps_no_snapshot_record(self, tmp_path):
         """A flux run of DEFAULT_CONFIG (8 replicates of 100,000 seeds) peaks under 5 MiB of
-        traced memory, where each replicate's (2, 100,000, 2) kick_cycle record took 3.05 MiB."""
+        traced memory, where a (2, 100,000, 2) snapshot record of each replicate's one cycle would
+        take 3.05 MiB."""
         text = DEFAULT_CONFIG.replace("output_dir = runs", f"output_dir = {tmp_path}")
         cfg = parse_config(text.replace("scenario = transport", "scenario = flux"))
         # SciPy loads here, so that its import is not traced.
@@ -599,18 +600,22 @@ class TestStrictConfig:
         ],
     )
     def test_rejected_before_running(self, tmp_path, capsys, scenario, old, new):
-        text = (DEFAULT_CONFIG + PHYSICAL).replace("scenario = transport", f"scenario = {scenario}")
-        text = text.replace("output_dir = runs", f"output_dir = {tmp_path / 'runs'}")
-        assert text.count(old) == 1
-        path = tmp_path / "c.ini"
-        path.write_text(text.replace(old, new))
-        for command in ("validate", "run"):
-            assert main([command, str(path)]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: invalid config: ")
-            assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-        assert not (tmp_path / "runs").exists()
+        """Each case at a [physical] Rabi frequency of 1.7e9 and at a marginal 1.9e9, whose
+        warning a refused config does not print: the error is the one stderr line."""
+        for rabi in ("1.7e9", "1.9e9"):
+            text = DEFAULT_CONFIG + PHYSICAL.replace("rabi_frequency = 1.7e9", f"rabi_frequency = {rabi}")
+            text = text.replace("scenario = transport", f"scenario = {scenario}")
+            text = text.replace("output_dir = runs", f"output_dir = {tmp_path / 'runs'}")
+            assert text.count(old) == 1
+            path = tmp_path / "c.ini"
+            path.write_text(text.replace(old, new))
+            for command in ("validate", "run"):
+                assert main([command, str(path)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("error: invalid config: "), captured.err
+                assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+            assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
         "text",
