@@ -25,12 +25,16 @@ into contiguous blocks (one block for 8192 or fewer, else blocks of at most
 block runs every cycle on a pool thread and returns what the caller's keep
 makes of its state after each cycle, and the caller sums or stores the
 blocks' lists.  The blocks share no state.  Three public functions run it:
-evolve_ensemble keeps (phi, rho) snapshots, 16 bytes per trajectory and kick,
-which each block writes into its own slice of one record (the Poincare
-section is its elliptic record); transport_counts keeps each kick's count of
-|rho| beyond a boundary, and cantorus_flux each block's outward and inward
-crossing counts, both on the elliptic backend, so their memory is the
-ensemble's current state.  Each segment, dark ones as k = 0, goes through
+evolve_ensemble(ensemble, params, ...) keeps (phi, rho) snapshots of the
+given ensemble, 16 bytes per trajectory and kick, which each block writes
+into its own slice of one record (the Poincare section is its elliptic
+record).  transport_counts(params, boundary) and cantorus_flux(params,
+boundary, ...) take their k, pulse train and seed from the run's SimParams
+alone: transport_counts draws thermal_ensemble(params) and keeps each kick's
+count of |rho| beyond the boundary, and cantorus_flux seeds a band around the
+boundary and keeps each block's outward and inward crossing counts, both on
+the elliptic backend, so their memory is the ensemble's current state.  Each
+segment, dark ones as k = 0, goes through
 _driven and its finiteness check.  The kernels work element by element and
 release the GIL, so the output is bitwise that of one kernel call per
 segment on the whole ensemble.  The workers run only private functions and
@@ -302,25 +306,22 @@ def evolve_ensemble(
     return TrajectoryRecord(np.arange(n_kicks + 1), phi, rho)
 
 
-def transport_counts(ensemble: ClassicalEnsemble, params: SimParams, boundary: float) -> np.ndarray:
-    """Trajectories with |rho| > boundary at kicks 0..params.n_kicks of the params' pulse train, on
-    the elliptic backend: the counts that analysis.transport_curve_classical takes from
-    evolve_ensemble's elliptic record, bit for bit, with no record kept.  Each block returns its own
-    trajectories' count after every cycle from its worker, and the blocks' counts are summed."""
+def transport_counts(params: SimParams, boundary: float) -> np.ndarray:
+    """Trajectories with |rho| > boundary at kicks 0..params.n_kicks on the elliptic backend.  The
+    ensemble is thermal_ensemble(params), drawn from params.rng_seed, and k and the pulse train are
+    the params' too.  These are the counts that analysis.transport_curve_classical takes from
+    evolve_ensemble's elliptic record of that ensemble, bit for bit, with no record kept.  Each block
+    returns its own trajectories' count after every cycle from its worker, and the blocks' counts
+    are summed."""
+    ensemble = thermal_ensemble(params)
     blocks = _recorded_kicks(_wrap(ensemble.phi), ensemble.rho, params.kick_strength, params.pulse_train(),
                              params.n_kicks, "elliptic", lambda block, i, phi, rho: count_outside(rho, boundary))
     return np.sum(blocks, axis=0)
 
 
-def cantorus_flux(
-    k: float,
-    train: PulseTrain,
-    boundary: float,
-    n_seeds: int = 100_000,
-    n_replicates: int = 8,
-    rng_seed: int = 0,
-) -> FluxEstimate:
-    """Estimate the phase-space area crossing |rho| = boundary per kick cycle.
+def cantorus_flux(params: SimParams, boundary: float, n_seeds: int = 100_000, n_replicates: int = 8) -> FluxEstimate:
+    """Estimate the phase-space area crossing |rho| = boundary per kick cycle.  k and the pulse
+    train are the params', and replicate r draws its seeds from default_rng((params.rng_seed, r)).
 
     Each replicate seeds the band boundary +- 2*pi uniformly (seed area =
     band area / n_seeds) and applies a single stroboscopic cycle of the
@@ -341,8 +342,8 @@ def cantorus_flux(
     """
     if n_seeds < 1 or n_replicates < 1:
         raise ParameterError(f"need n_seeds >= 1 and n_replicates >= 1, got {n_seeds} and {n_replicates}")
-    if rng_seed < 0 or not np.isfinite(boundary):
-        raise ParameterError(f"need rng_seed >= 0 and a finite boundary, got {rng_seed} and {boundary}")
+    if not np.isfinite(boundary):
+        raise ParameterError(f"need a finite boundary, got {boundary}")
     area_per_seed = (TWO_PI * 2.0 * TWO_PI) / n_seeds
     counts = []        # crossings out, then in, per replicate
 
@@ -353,10 +354,10 @@ def cantorus_flux(
             return int(np.count_nonzero(below & above)), int(np.count_nonzero(~below & ~above))
 
     for rep in range(n_replicates):
-        rng = np.random.default_rng((rng_seed, rep))
+        rng = np.random.default_rng((params.rng_seed, rep))
         phi = rng.uniform(0.0, TWO_PI, n_seeds)
         seed_rho = rng.uniform(boundary - TWO_PI, boundary + TWO_PI, n_seeds)
-        blocks = _recorded_kicks(phi, seed_rho, k, train, 1, "elliptic", crossings)
+        blocks = _recorded_kicks(phi, seed_rho, params.kick_strength, params.pulse_train(), 1, "elliptic", crossings)
         counts += map(sum, zip(*(kept[1] for kept in blocks)))
     total = sum(counts)
     if total < 100:

@@ -206,15 +206,25 @@ def _etas(text: str) -> tuple[float, ...]:
     return etas
 
 
+# The most elements one float64 array can hold: no larger count could ever be allocated.
+_MAX_COUNT = np.iinfo(np.intp).max // 8
+
+
+def _count(text: str) -> int:
+    if (n := int(text)) > _MAX_COUNT:
+        raise ValueError(f"larger than {_MAX_COUNT}, the most elements one float64 array can hold")
+    return n
+
+
 def _positive_int(text: str) -> int:
-    n = int(text)
+    n = _count(text)
     if n < 1:
         raise ValueError("must be a positive integer")
     return n
 
 
 def _nonnegative_int(text: str) -> int:
-    n = int(text)
+    n = _count(text)
     if n < 0:
         raise ValueError("must be an integer >= 0")
     return n
@@ -276,6 +286,9 @@ def parse_config(text: str) -> RunConfig:
         quantum.thermal_weights(params.basis_size, params.scaled_planck, params.init_momentum_sigma)
     except ParameterError as exc:
         raise ConfigError(f"[params] {exc}") from None
+    except (MemoryError, ValueError):
+        # NumPy refuses a ladder larger than the address space with a ValueError, before allocating.
+        raise ConfigError(f"[params] basis_size = {params.basis_size}: its momentum ladder cannot be allocated") from None
 
     chosen = written.get(scenario, {})
     options = {name: chosen[name] if name in chosen else spec.parse(spec.fallback.format_map(vars(params)))
@@ -353,7 +366,7 @@ def _scenario_transport(cfg: RunConfig):
     p = cfg.params
     boundary = cfg.options["boundary_over_pi"] * np.pi
 
-    counts = classical.transport_counts(classical.thermal_ensemble(p), p, boundary)
+    counts = classical.transport_counts(p, boundary)
     yield ("classical.dat", *_table(np.arange(p.n_kicks + 1), counts / p.n_trajectories),
            f"classical fraction outside |rho|={boundary:.6g}, k={p.kick_strength}\nkick fraction_outside")
 
@@ -419,14 +432,7 @@ def _scenario_wigner(cfg: RunConfig):
 def _scenario_flux(cfg: RunConfig):
     p = cfg.params
     boundary = cfg.options["boundary_over_pi"] * np.pi
-    est = classical.cantorus_flux(
-        p.kick_strength,
-        p.pulse_train(),
-        boundary,
-        n_seeds=cfg.options["n_seeds"],
-        n_replicates=cfg.options["n_replicates"],
-        rng_seed=p.rng_seed,
-    )
+    est = classical.cantorus_flux(p, boundary, n_seeds=cfg.options["n_seeds"], n_replicates=cfg.options["n_replicates"])
     template = ("flux %.10g\nstderr %.10g\nflux_over_hbar_k %.10g\nn_crossings %d\n"
                 "# per-replicate samples (out, in alternating)\n" + "sample %.10g\n" * len(est.samples))
     yield ("flux.dat", [(4 + len(est.samples), template)],
@@ -465,13 +471,14 @@ SCENARIOS = {
 }
 
 
-# Parsers keyed by the annotation text of the SimParams and PhysicalParams fields.
-_FIELD_PARSERS = {"float": _finite, "int": int, "Fraction": Fraction, "tuple[float, float, float]": _floats}
+# Parsers keyed by the annotation text of the SimParams and PhysicalParams fields; every int field
+# but the seed is a count.
+_FIELD_PARSERS = {"float": _finite, "int": _count, "Fraction": Fraction, "tuple[float, float, float]": _floats}
 
 # Section -> key -> parser: the keys parse_config accepts, and how it parses each written value.
 _SCHEMA = {
     "run": {"scenario": str, "output_dir": str},
-    **{section: {f.name: _FIELD_PARSERS[f.type] for f in fields(cls)}
+    **{section: {f.name: int if f.name == "rng_seed" else _FIELD_PARSERS[f.type] for f in fields(cls)}
        for section, cls in (("params", SimParams), ("physical", PhysicalParams))},
     **{name: {key: option.parse for key, option in sc.options.items()} for name, sc in SCENARIOS.items()},
 }
@@ -538,8 +545,9 @@ def main(argv=None) -> int:
         # One line: configparser's messages and multi-line values hold newlines.
         print(f"error: invalid config: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
-    except (classical.NumericalDomainError, classical.StatisticsError) as exc:
-        print(f"error: compute failed in scenario {cfg.scenario}: {exc}", file=sys.stderr)
+    except (classical.NumericalDomainError, classical.StatisticsError, MemoryError) as exc:
+        # A bare MemoryError has no message.
+        print(f"error: compute failed in scenario {cfg.scenario}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)

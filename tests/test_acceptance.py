@@ -128,9 +128,9 @@ def test_criterion_04_decoherence_monotonicity(fig5):
     )
 
 
-def test_criterion_05_cantorus_flux(paper_train):
+def test_criterion_05_cantorus_flux():
     target = 4.6 * HBAR_K
-    est = cantorus_flux(280.0, paper_train, BOUNDARY, rng_seed=5)
+    est = cantorus_flux(SimParams(kick_strength=280.0, rng_seed=5), BOUNDARY)
     ok = target / 2.0 <= est.flux <= target * 2.0 and est.stderr > 0.0
     report(
         5,

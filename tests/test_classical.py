@@ -238,28 +238,28 @@ class TestPoincare:
 
 
 class TestCantorusFlux:
-    def test_unbroken_torus_blocks_transport(self, paper_train):
+    def test_unbroken_torus_blocks_transport(self):
         # The handful of counts that do occur come from the wiggle of the
         # invariant curve around the flat line rho = 10*pi, not transport.
         with pytest.raises(StatisticsError) as exc:
-            cantorus_flux(5.0, paper_train, 10 * np.pi, n_seeds=20_000, n_replicates=2)
+            cantorus_flux(SimParams(kick_strength=5.0), 10 * np.pi, n_seeds=20_000, n_replicates=2)
         assert exc.value.count < 20
 
     @pytest.mark.parametrize("n_seeds,n_replicates", [(0, 2), (-5, 2), (1000, 0)],
                              ids=["no-seeds", "negative-seeds", "no-replicates"])
-    def test_bad_counts_raise(self, paper_train, n_seeds, n_replicates):
+    def test_bad_counts_raise(self, n_seeds, n_replicates):
         with pytest.raises(ParameterError, match="n_seeds >= 1 and n_replicates >= 1"):
-            cantorus_flux(280.0, paper_train, 10 * np.pi, n_seeds=n_seeds, n_replicates=n_replicates)
+            cantorus_flux(SimParams(kick_strength=280.0), 10 * np.pi, n_seeds=n_seeds, n_replicates=n_replicates)
 
-    @pytest.mark.parametrize("boundary,rng_seed", [(10 * np.pi, -1), (np.nan, 0), (np.inf, 0)],
-                             ids=["negative-seed", "nan-boundary", "inf-boundary"])
-    def test_bad_seed_or_boundary_raise(self, paper_train, boundary, rng_seed):
-        with pytest.raises(ParameterError, match="rng_seed >= 0 and a finite boundary"):
-            cantorus_flux(280.0, paper_train, boundary, n_seeds=100, n_replicates=1, rng_seed=rng_seed)
+    # A negative seed never reaches cantorus_flux: SimParams refuses it (tests/test_model.py).
+    @pytest.mark.parametrize("boundary", [np.nan, np.inf], ids=["nan-boundary", "inf-boundary"])
+    def test_bad_seed_or_boundary_raise(self, boundary):
+        with pytest.raises(ParameterError, match="a finite boundary"):
+            cantorus_flux(SimParams(kick_strength=280.0), boundary, n_seeds=100, n_replicates=1)
 
-    def test_flux_symmetric_in_boundary_sign(self, paper_train):
-        up = cantorus_flux(280.0, paper_train, 10 * np.pi, n_seeds=40_000, n_replicates=4, rng_seed=1)
-        down = cantorus_flux(280.0, paper_train, -10 * np.pi, n_seeds=40_000, n_replicates=4, rng_seed=2)
+    def test_flux_symmetric_in_boundary_sign(self):
+        up = cantorus_flux(SimParams(kick_strength=280.0, rng_seed=1), 10 * np.pi, n_seeds=40_000, n_replicates=4)
+        down = cantorus_flux(SimParams(kick_strength=280.0, rng_seed=2), -10 * np.pi, n_seeds=40_000, n_replicates=4)
         # |flux| through +10*pi equals that through -10*pi within statistics;
         # through -10*pi the "outward" direction is toward more negative rho,
         # but the counting is direction-agnostic.
@@ -420,7 +420,7 @@ class TestCoreSplit:
         try:
             for workers in (1, 2, 3, 8):
                 monkeypatch.setattr(classical, "_WORKERS", workers)
-                counts = classical.transport_counts(ensemble, p, 10 * np.pi)
+                counts = classical.transport_counts(p, 10 * np.pi)
                 assert (counts / n).tobytes() == curve.fraction_outside.tobytes()
         finally:
             sys.setswitchinterval(interval)
@@ -433,12 +433,13 @@ class TestCoreSplit:
         them, stressed as in test_transport_counts_equal_the_record_curve by a 1 us
         switch interval."""
         want = snapshot_flux(280.0, paper_train, 10 * np.pi, n_seeds, n_replicates=3, rng_seed=n_seeds)
+        params = SimParams(kick_strength=280.0, rng_seed=n_seeds)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 3, 8):
                 monkeypatch.setattr(classical, "_WORKERS", workers)
-                got = cantorus_flux(280.0, paper_train, 10 * np.pi, n_seeds, n_replicates=3, rng_seed=n_seeds)
+                got = cantorus_flux(params, 10 * np.pi, n_seeds, n_replicates=3)
                 assert got.samples.tobytes() == want.samples.tobytes()
                 assert (got.flux, got.stderr, got.n_crossings) == (want.flux, want.stderr, want.n_crossings)
                 assert type(got.n_crossings) is int
@@ -452,7 +453,7 @@ class TestCoreSplit:
         with pytest.raises(StatisticsError) as want:
             snapshot_flux(k, paper_train, 10 * np.pi, n_seeds, n_replicates=2)
         with pytest.raises(StatisticsError) as got:
-            cantorus_flux(k, paper_train, 10 * np.pi, n_seeds, n_replicates=2)
+            cantorus_flux(SimParams(kick_strength=k), 10 * np.pi, n_seeds, n_replicates=2)
         assert got.value.count == want.value.count and type(got.value.count) is int
 
     def test_worker_count_does_not_change_output(self, monkeypatch, paper_train):
@@ -471,7 +472,7 @@ class TestCoreSplit:
                     rec = evolve_ensemble(ClassicalEnsemble(phi, rho), p, ONE_PULSE, n_kicks, method=method)
                     out += [rec.phi, rec.rho]
             out += one_cycle(*states[10_000], 270.0, paper_train, "elliptic")
-            out.append(cantorus_flux(280.0, paper_train, 10 * np.pi, n_seeds=20_000, n_replicates=2).samples)
+            out.append(cantorus_flux(SimParams(kick_strength=280.0), 10 * np.pi, 20_000, n_replicates=2).samples)
             outputs.append(b"".join(np.ascontiguousarray(o).tobytes() for o in out))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
@@ -511,7 +512,7 @@ class TestCoreSplit:
         phi, rho = random_band_states(np.random.default_rng(5), 20_000)
         p = SimParams(kick_strength=270.0, scaled_planck=2.6)
         classical.evolve_ensemble(ClassicalEnsemble(phi, rho), p, paper_train, 1, method=method)
-        classical.cantorus_flux(270.0, paper_train, 10 * np.pi, n_seeds=20_000, n_replicates=1)
+        classical.cantorus_flux(p, 10 * np.pi, n_seeds=20_000, n_replicates=1)
 
         main = threading.main_thread()
         names = {name for name, _ in calls}

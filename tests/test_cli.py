@@ -711,3 +711,69 @@ class TestMutatedConfigs:
             (run,) = runs.iterdir()
             for data in run.glob("*.dat"):
                 assert not non_finite_numbers(data), data.name
+
+
+class TestOversizeConfigs:
+    """A config too large to allocate ends with one stderr line, no traceback and no run directory:
+    a count that no float64 array could hold is refused at validate (exit 2), a ladder that
+    parse_config's thermal check cannot allocate (MemoryError, or NumPy's ValueError for a size
+    beyond the address space) is refused too (exit 2), and a MemoryError in a run step is reported
+    (exit 3), not raised.  No case allocates: the counts are refused while their text is parsed, and
+    the errors are raised by stand-ins."""
+
+    COUNTS = [("params", "basis_size"), ("params", "n_kicks"), ("params", "n_trajectories"),
+              ("flux", "n_seeds"), ("flux", "n_replicates"), ("poincare", "n_seeds"), ("poincare", "n_kicks"),
+              ("waterfall", "n_kicks"), ("wigner", "checkpoint_kicks")]
+
+    @pytest.mark.parametrize("count", [10**30, 2**61], ids=["1e30", "2^61"])
+    @pytest.mark.parametrize("section,key", COUNTS, ids=[f"{s}-{k}" for s, k in COUNTS])
+    def test_count_too_large_is_refused(self, tmp_path, section, key, count):
+        runs = tmp_path / "runs"
+        path = tmp_path / "c.ini"
+        path.write_text(mutated_config("transport" if section == "params" else section, [((section, key), str(count))],
+                                       runs))
+        for command in ("validate", "run"):
+            code, err = run_main(command, str(path))
+            assert code == 2 and len(err) == 1, (code, err)
+            assert err[0].startswith(f"error: invalid config: [{section}] {key} = {count}: larger than ")
+        assert not runs.exists()
+
+    def test_largest_count_and_any_seed_validate(self, tmp_path):
+        """The cap is the largest count, and the seed is not a count."""
+        path = tmp_path / "c.ini"
+        for changes in ([(("flux", "n_seeds"), str(np.iinfo(np.intp).max // 8))], [(("params", "rng_seed"), str(2**61))]):
+            path.write_text(mutated_config("flux", changes, tmp_path / "runs"))
+            assert run_main("validate", str(path)) == (0, [])
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 8.00 PiB for an array"), MemoryError(),
+                                       ValueError("Maximum allowed size exceeded")], ids=["numpy", "bare", "too-big"])
+    def test_unallocatable_ladder_is_invalid_config(self, tmp_path, monkeypatch, error):
+        def oversize(*args):
+            raise error
+
+        monkeypatch.setattr(quantum, "thermal_weights", oversize)
+        path = tmp_path / "c.ini"
+        path.write_text(mutated_config("transport", [], tmp_path / "runs"))
+        for command in ("validate", "run"):
+            assert run_main(command, str(path)) == (
+                2, ["error: invalid config: [params] basis_size = 16: its momentum ladder cannot be allocated"])
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("message,shown", [("Unable to allocate 8.00 PiB for an array", None),
+                                               ("", "out of memory")], ids=["numpy", "bare"])
+    @pytest.mark.parametrize("scenario,target,name", [
+        ("transport", cli.classical, "transport_counts"), ("flux", cli.classical, "cantorus_flux"),
+        ("poincare", cli.classical, "evolve_ensemble"), ("waterfall", quantum, "evolve_density"),
+        ("wigner", quantum, "evolve_density"),
+    ])
+    def test_run_memory_error_is_compute_failure(self, tmp_path, monkeypatch, scenario, target, name, message, shown):
+        def oversize(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(target, name, oversize)
+        runs = tmp_path / "runs"
+        path = tmp_path / "c.ini"
+        path.write_text(mutated_config(scenario, [], runs))
+        assert run_main("validate", str(path))[0] == 0
+        assert run_main("run", str(path)) == (3, [f"error: compute failed in scenario {scenario}: {shown or message}"])
+        assert not runs.exists() or not any(runs.iterdir())

@@ -182,7 +182,7 @@ def test_first_elliptic_call_on_pool_workers():
         for workers in (2, 1):
             classical._WORKERS = workers
             records.append(classical.evolve_ensemble(ensemble, params, method="elliptic"))
-            counts.append(classical.transport_counts(ensemble, params, 10.0))
+            counts.append(classical.transport_counts(params, 10.0))
         assert np.array_equal(records[0].phi, records[1].phi) and np.array_equal(records[0].rho, records[1].rho)
         fractions = analysis.transport_curve_classical(records[0], 10.0).fraction_outside
         assert all((c / 20_000).tobytes() == fractions.tobytes() for c in counts)
