@@ -34,13 +34,13 @@ alone: transport_counts draws thermal_ensemble(params) and keeps each kick's
 count of |rho| beyond the boundary, and cantorus_flux seeds a band around the
 boundary and keeps each block's outward and inward crossing counts, both on
 the elliptic backend, so their memory is the ensemble's current state.  Each
-segment, dark ones as k = 0, goes through
-_driven and its finiteness check.  The kernels work element by element and
-release the GIL, so the output is bitwise that of one kernel call per
-segment on the whole ensemble.  The workers run only private functions and
-this module's own binding of analysis.count_outside, so every public
-function of cantori is entered and left on the calling thread.  Neither a
-run nor a segment returns a non-finite point.
+segment, dark ones as k = 0, goes through _driven and its finiteness check.
+The kernels work element by element and release the GIL, so the output is
+bitwise that of one kernel call per segment on the whole ensemble.  The
+workers run only private functions and this module's own binding of
+analysis.count_outside, so every public function of cantori is entered and
+left on the calling thread.  Neither a run nor a segment returns a
+non-finite point.
 """
 
 from __future__ import annotations

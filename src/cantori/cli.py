@@ -287,7 +287,7 @@ def parse_config(text: str) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(f"[params] {exc}") from None
     except (MemoryError, ValueError):
-        # NumPy refuses a ladder larger than the address space with a ValueError, before allocating.
+        # np.arange sizes the ladder in float64, so near _MAX_COUNT it raises ValueError before allocating.
         raise ConfigError(f"[params] basis_size = {params.basis_size}: its momentum ladder cannot be allocated") from None
 
     chosen = written.get(scenario, {})
