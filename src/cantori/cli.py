@@ -297,6 +297,13 @@ def parse_config(text: str) -> RunConfig:
     # below 0 every momentum is outside.
     if scenario == "transport" and not 0 <= options["boundary_over_pi"] * np.pi < edge:
         raise ConfigError(f"[transport] boundary_over_pi: boundary outside [0, ladder edge {edge:.6g})")
+    # The run's largest array holds (kicks + 1) rows of a record: the populations over the ladder,
+    # or a Poincare section's phi and rho over the seeds; flux keeps none.
+    kicks = max(options.get("checkpoint_kicks", [options.get("n_kicks", params.n_kicks)]))
+    width = {"poincare": 2 * options.get("n_seeds", 0), "flux": 0}.get(scenario, params.basis_size)
+    if (kicks + 1) * width > _MAX_COUNT:
+        raise ConfigError(f"[{scenario}] {kicks} kicks: the run's {kicks + 1} x {width} record is larger "
+                          f"than {_MAX_COUNT} elements, the most one float64 array can hold")
     for w in caught:        # one stderr line each, naming the section
         print(f"warning: [physical] {w.message}", file=sys.stderr)
     return RunConfig(scenario, output_dir, params, dict(cp[scenario]) if scenario in cp else {}, options)

@@ -21,11 +21,13 @@ antisymmetric ones.  _fold takes a matrix into its parity blocks, held in
 (N/2 + 1)^2 frames, with four slice sums; _unfold takes them back.  The
 Floquet operator is built block by block in these sectors, never as a dense
 matrix, and holds only its two parity frames, prepared once for the kick loop.
-evolve_density keeps rho in its parity frames from the first kick to the last:
-it conjugates each frame separately, a quarter of the dense N^3 work when the
-state has no even-odd coherence (every thermal state), applies the channel to
-the frames directly, reads the populations from their diagonals, and returns
-to the momentum basis only for the checkpoints.  After each kick the frame
+evolve_density keeps rho in its parity frames from the first kick to the last,
+as one stack: [ee, oo], depth 2, when the state has no even-odd coherence
+(every thermal state), and [ee, oo, eo, oe], depth 4, when it has.  Each kick
+conjugates the whole stack in one batched product, a quarter of the dense N^3
+work at depth 2, applies the channel in one call to its pairs (ee, oo) and
+(eo, oe), reads the populations from the stacked diagonals, and returns to the
+momentum basis only for the checkpoints.  After each kick the frame
 entries below eps^2 are flushed to zero (see _FLUSH_BELOW), and of each kick's
 product only the trailing window of rows and columns that may survive the
 flush is computed (see _surviving_from and evolve_density).
@@ -219,32 +221,33 @@ def _unfold(frames: list) -> np.ndarray:
     return m
 
 
-def _surviving_from(frames: list, factors: list, w: int) -> int:
+def _surviving_from(frames: np.ndarray, abs_left: np.ndarray, abs_right: np.ndarray, w: int) -> int:
     """The first index rr at which a row or a column of some frame's next
     product may survive the flush (0 if none may; a NaN bound counts).
 
-    Every frame must be zero in its rows and columns below w.  Each factor
-    tuple is (left, right, top |left|, top |right|), top the largest entry
-    modulus of any factor.  With L = left[:, w:], f = f[w:, w:] and
-    R = right[w:, :], row i of L f R is bounded by
-    b_i = top sum_k |L_ik| c_k, where c_k = sum_l (|Re f_kl| + |Im f_kl|)
-    >= sum_l |f_kl| and top >= max|R|, and column j by top sum_l d_l |R_lj|,
-    d_l the same sums over the columns of f.  A row or column may survive if
-    its bound reaches _FLUSH_BELOW / 2.  Below that, every computed entry,
-    rounding included, is at most (1 + n*eps) b < _FLUSH_BELOW in modulus, so
-    _flush_tiny would zero both of its parts.  A row or column that no column
-    of U's frames from w on reaches has a bound of exactly 0.  The nonzero
-    entries of U's flushed frames are at least _FLUSH_BELOW / 2 (about
-    2.5e-32; the fixed-point columns are halved), so b does not underflow; a
-    term that did would move it by some 1e-320, far inside the factor 2 margin.
+    frames, abs_left and abs_right are stacks of one depth; frame i is
+    multiplied by left i and right i, and abs_left i and abs_right i are
+    top |left i| and top |right i|, top the largest entry modulus of any
+    factor.  Every frame must be zero in its rows and columns below w.  With
+    L = left[w:], f = f[w:, w:] and R = right[w:, :] for one frame, row i of
+    L f R is bounded by b_i = top sum_k |L_ik| c_k, where
+    c_k = sum_l (|Re f_kl| + |Im f_kl|) >= sum_l |f_kl| and top >= max|R|,
+    and column j by top sum_l d_l |R_lj|, d_l the same sums over the columns
+    of f.  A row or column may survive if its bound reaches _FLUSH_BELOW / 2.
+    Below that, every computed entry, rounding included, is at most
+    (1 + n*eps) b < _FLUSH_BELOW in modulus, so _flush_tiny would zero both of
+    its parts.  A row or column that no column of U's frames from w on
+    reaches has a bound of exactly 0.  The nonzero entries of U's flushed
+    frames are at least _FLUSH_BELOW / 2 (about 2.5e-32; the fixed-point
+    columns are halved), so b does not underflow; a term that did would move
+    it by some 1e-320, far inside the factor 2 margin.
     """
-    hit = np.zeros(len(frames[0]), bool)
-    for f, (_, _, abs_left, abs_right) in zip(frames, factors):
-        parts = np.abs(f[w:, w:].view(np.float64))
-        sums = parts[:, ::2] + parts[:, 1::2]
-        hit |= ~(abs_left[:, w:] @ sums.sum(axis=1) < 0.5 * _FLUSH_BELOW)
-        hit |= ~(sums.sum(axis=0) @ abs_right[w:, :] < 0.5 * _FLUSH_BELOW)
-    return int(np.argmax(hit))
+    parts = np.abs(frames[:, w:, w:].view(np.float64))
+    sums = parts[..., ::2] + parts[..., 1::2]
+    rows = abs_left[:, :, w:] @ sums.sum(axis=2)[..., None]
+    cols = sums.sum(axis=1)[:, None] @ abs_right[:, w:]
+    hit = ~(rows[..., 0] < 0.5 * _FLUSH_BELOW) | ~(cols[:, 0] < 0.5 * _FLUSH_BELOW)
+    return int(np.argmax(hit.any(axis=0)))
 
 
 def build_floquet(N: int, k: float, hbar_k: float, train: PulseTrain) -> FloquetOperator:
@@ -283,8 +286,8 @@ def build_floquet(N: int, k: float, hbar_k: float, train: PulseTrain) -> Floquet
     return FloquetOperator(ue * scale, np.pad(uo, 1))
 
 
-def _channel(a: np.ndarray, b: np.ndarray, eta: float, lo: int, sign: float) -> None:
-    """The per-cycle spontaneous-emission channel on a pair of frames, in
+def _channel(a: np.ndarray, b: np.ndarray, eta: float, lo: int, sign: float | np.ndarray) -> None:
+    """The per-cycle spontaneous-emission channel on pairs of frames, in
     place on their [lo:, lo:] corner.
 
     In the momentum basis the channel is
@@ -292,34 +295,39 @@ def _channel(a: np.ndarray, b: np.ndarray, eta: float, lo: int, sign: float) -> 
     index shifts wrapping periodically: a convex mixture of the identity and
     two cyclic-shift conjugations, trace-preserving and completely positive.
 
-    The pair is (ee, oo) with sign +1 or (eo, oe) with sign -1.  In the frame
-    s = (a + b)/2 takes the (+1, +1) and (-1, -1) neighbours and
-    d = (a - b)/2 the (+1, -1) and (-1, +1) ones.  A neighbour index h + 1
-    stands for the mirror of h - 1 and index -1 (the periodic wrap past the
-    ladder edge) for the mirror of 1: a row there is the other array's row
-    h - 1 or 1, a column the other array's column times sign.  With lo > 0 the
-    frames must be zero in the rows and columns below lo + 1, so nothing wraps.
+    a and b are one pair of frames, or stacks of pairs on a leading axis, and
+    sign is +1 for the pair (ee, oo) and -1 for (eo, oe): a number for one
+    pair, or an array that broadcasts over the stack's pair axis against one
+    column of a frame, as np.array([[1.0], [-1.0]]) does for the stack
+    [ee, eo] with [oo, oe].  In the frame s = (a + b)/2 takes the (+1, +1)
+    and (-1, -1) neighbours and d = (a - b)/2 the (+1, -1) and (-1, +1) ones.
+    A neighbour index h + 1 stands for the mirror of h - 1 and index -1 (the
+    periodic wrap past the ladder edge) for the mirror of 1: a row there is
+    the other array's row h - 1 or 1, a column the other array's column times
+    sign.  With lo > 0 the frames must be zero in the rows and columns below
+    lo + 1, so nothing wraps.
     """
-    n = len(a) - lo
-    wa, wb = a[lo:, lo:], b[lo:, lo:]
+    n = a.shape[-1] - lo
+    wa, wb = a[..., lo:, lo:], b[..., lo:, lo:]
     # The window with one neighbour index on each side; s and d hold a + b and
     # a - b, and the weights below carry the halves.
-    s = np.zeros((n + 2, n + 2), complex)
-    d = np.zeros((n + 2, n + 2), complex)
-    np.add(wa, wb, out=s[1:-1, 1:-1])
-    np.subtract(wa, wb, out=d[1:-1, 1:-1])
-    s[-1, 1:-1], d[-1, 1:-1] = d[-3, 1:-1], s[-3, 1:-1]
+    s = np.zeros((*a.shape[:-2], n + 2, n + 2), complex)
+    d = np.zeros_like(s)
+    np.add(wa, wb, out=s[..., 1:-1, 1:-1])
+    np.subtract(wa, wb, out=d[..., 1:-1, 1:-1])
+    s[..., -1, 1:-1], d[..., -1, 1:-1] = d[..., -3, 1:-1], s[..., -3, 1:-1]
     if lo == 0:
-        s[0, 1:-1], d[0, 1:-1] = d[2, 1:-1], s[2, 1:-1]
-    s[:, -1], d[:, -1] = sign * d[:, -3], sign * s[:, -3]
+        s[..., 0, 1:-1], d[..., 0, 1:-1] = d[..., 2, 1:-1], s[..., 2, 1:-1]
+    # Each wrap column is sliced before it is signed, so only n + 2 entries a pair are multiplied.
+    s[..., -1], d[..., -1] = sign * d[..., -3], sign * s[..., -3]
     if lo == 0:
-        s[:, 0], d[:, 0] = sign * d[:, 2], sign * s[:, 2]
-    s_new = s[2:, 2:] + s[:-2, :-2]
+        s[..., 0], d[..., 0] = sign * d[..., 2], sign * s[..., 2]
+    s_new = s[..., 2:, 2:] + s[..., :-2, :-2]
     s_new *= 0.25 * eta
-    s_new += (0.5 - 0.5 * eta) * s[1:-1, 1:-1]
-    d_new = d[2:, :-2] + d[:-2, 2:]
+    s_new += (0.5 - 0.5 * eta) * s[..., 1:-1, 1:-1]
+    d_new = d[..., 2:, :-2] + d[..., :-2, 2:]
     d_new *= 0.25 * eta
-    d_new += (0.5 - 0.5 * eta) * d[1:-1, 1:-1]
+    d_new += (0.5 - 0.5 * eta) * d[..., 1:-1, 1:-1]
     np.add(s_new, d_new, out=wa)
     np.subtract(s_new, d_new, out=wb)
 
@@ -343,12 +351,16 @@ def evolve_density(
 ) -> EvolutionRecord:
     """Apply n_kicks of (unitary cycle, then decoherence channel).
 
-    rho stays in its parity frames (see _fold): the cycle conjugates each
-    frame by the operator's prepared frames (see FloquetOperator), the channel
-    acts on the frames, and the populations are read from their diagonals;
-    the frames are unfolded into the momentum basis only at the requested
-    checkpoints.  The even-odd frames are evolved only when
-    rho0 has any, since neither the cycle nor the channel creates them.
+    rho stays in its parity frames (see _fold), held as one stack of depth 2,
+    [ee, oo], or of depth 4, [ee, oo, eo, oe], when rho0 has even-odd
+    coherence; neither the cycle nor the channel creates any.  The cycle
+    conjugates frame i by the operator's prepared frames (see FloquetOperator):
+    left[i] @ frame @ right[i], with left = (ua, ub, ua, ub) and right the
+    conjugate transposes of (ua, ub, ub, ua), cut to the stack's depth, all in
+    one batched product.  The channel acts on the stack's pairs (ee, oo) and
+    (eo, oe) in one call (see _channel), the populations are read from the
+    stacked diagonals, and the frames are unfolded into the momentum basis only
+    at the requested checkpoints.
 
     Each kick works on the trailing [w:, w:] window of the frames, outside
     which every entry is an exact zero; w is 0 before the first kick.  Only
@@ -374,39 +386,34 @@ def evolve_density(
     if outside:
         raise ParameterError(f"checkpoint kicks {outside} lie outside [0, {n_kicks}]")
     h = floquet.size // 2
+    frames = np.array(_fold(rho0.matrix))
+    # Neither the cycle nor the channel creates even-odd coherence: without any, the stack is [ee, oo].
+    depth = 4 if np.any(frames[2:]) else 2
+    frames = np.array(frames[:depth])
     ua, ub = floquet.frames
-    abs_a, abs_b = np.abs(ua), np.abs(ub)
-    top = max(abs_a.max(), abs_b.max())
-    abs_a *= top
-    abs_b *= top
-    dag_a, dag_b = ua.conj().T, ub.conj().T
-    frames = _fold(rho0.matrix)
-    cross = bool(np.any(frames[2]) or np.any(frames[3]))
-    if not cross:
-        del frames[2:]
-    factors = [(ua, dag_a, abs_a, abs_a.T), (ub, dag_b, abs_b, abs_b.T),
-               (ua, dag_b, abs_a, abs_b.T), (ub, dag_a, abs_b, abs_a.T)][:len(frames)]
+    left = np.array((ua, ub, ua, ub)[:depth])
+    right = np.array((ua, ub, ub, ua)[:depth]).conj().transpose(0, 2, 1)
+    top = np.abs(left).max()
+    abs_left, abs_right = np.abs(left) * top, np.abs(right) * top
+    signs = np.array([[1.0], [-1.0]])[:depth // 2]
     pops = np.empty((n_kicks + 1, 2 * h))
     checks = {}
     w = 0
     for kick in range(n_kicks + 1):
         if kick:
-            rr = _surviving_from(frames, factors, w)
+            rr = _surviving_from(frames, abs_left, abs_right, w)
             r = min(rr, w)
-            for f, (left, right, _, _) in zip(frames, factors):
-                product = _flush_tiny(left[rr:, w:] @ f[w:, w:] @ right[w:, rr:])
-                f[r:rr, r:] = 0.0
-                f[rr:, r:rr] = 0.0
-                f[rr:, rr:] = product
+            product = _flush_tiny(left[:, rr:, w:] @ frames[:, w:, w:] @ right[:, w:, rr:])
+            frames[:, r:rr, r:] = 0.0
+            frames[:, rr:, r:rr] = 0.0
+            frames[:, rr:, rr:] = product
             w = rr
             if eta > 0.0:
                 w = max(w - 1, 0)
-                _channel(frames[0], frames[1], eta, w, 1.0)
-                if cross:
-                    _channel(frames[2], frames[3], eta, w, -1.0)
-        # diag(rho) at j and at its mirror N - j: (ee + oo)/2 +- (eo + oe)/2 in the frame.
-        s = 0.5 * (frames[0].diagonal() + frames[1].diagonal()).real
-        c = 0.5 * (frames[2].diagonal() + frames[3].diagonal()).real if cross else 0.0
+                _channel(frames[0::2], frames[1::2], eta, w, signs)
+        # diag(rho) at j and at its mirror N - j: s +- c, with s = (ee + oo)/2 and c = (eo + oe)/2 in the frame.
+        diagonals = frames.diagonal(axis1=1, axis2=2).real
+        s, c = 0.5 * (diagonals[0] + diagonals[1]), 0.5 * (diagonals[2:].sum(axis=0))
         pops[kick, :h + 1] = s + c
         pops[kick, h + 1:] = (s - c)[h - 1:0:-1]
         if kick in checkpoint_kicks:

@@ -777,3 +777,34 @@ class TestOversizeConfigs:
         assert run_main("validate", str(path))[0] == 0
         assert run_main("run", str(path)) == (3, [f"error: compute failed in scenario {scenario}: {shown or message}"])
         assert not runs.exists() or not any(runs.iterdir())
+
+
+class TestRecordTooLarge:
+    """A count that parses but whose run's largest record, (kicks + 1) rows of the ladder or of a
+    Poincare section's phi and rho over its seeds, no float64 array could hold is refused at
+    validate and at run (exit 2, one stderr line, no run directory); the largest record that fits
+    validates.  No case allocates: validate computes nothing and run stops at the refusal."""
+
+    CAP = np.iinfo(np.intp).max // 8
+    # (scenario, the kick count's option, the record's row width in the SMALL config)
+    RECORDS = [("poincare", ("poincare", "n_kicks"), 2 * 60), ("waterfall", ("waterfall", "n_kicks"), 16),
+               ("wigner", ("wigner", "checkpoint_kicks"), 16), ("transport", ("params", "n_kicks"), 16)]
+
+    @pytest.mark.parametrize("scenario,option,width", RECORDS, ids=[r[0] for r in RECORDS])
+    def test_record_too_large_is_refused(self, tmp_path, scenario, option, width):
+        runs = tmp_path / "runs"
+        path = tmp_path / "c.ini"
+        kicks = self.CAP // width
+        path.write_text(mutated_config(scenario, [(option, str(kicks))], runs))
+        for command in ("validate", "run"):
+            code, err = run_main(command, str(path))
+            assert code == 2 and len(err) == 1, (code, err)
+            assert err[0] == (f"error: invalid config: [{scenario}] {kicks} kicks: the run's {kicks + 1} x {width} "
+                              f"record is larger than {self.CAP} elements, the most one float64 array can hold")
+        assert not runs.exists()
+
+    @pytest.mark.parametrize("scenario,option,width", RECORDS, ids=[r[0] for r in RECORDS])
+    def test_largest_record_validates(self, tmp_path, scenario, option, width):
+        path = tmp_path / "c.ini"
+        path.write_text(mutated_config(scenario, [(option, str(self.CAP // width - 1))], tmp_path / "runs"))
+        assert run_main("validate", str(path)) == (0, [])

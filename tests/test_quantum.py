@@ -385,14 +385,22 @@ def apply_decoherence(rho: DensityMatrix, eta: float) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def reference_products(frames, factors, w):
+def factor_stacks(flo, depth):
+    """The factors of frame i, for i < depth: left[i] U's frame and right[i] the
+    conjugate transpose of one, in the frame order [ee, oo, eo, oe]."""
+    ua, ub = flo.frames
+    pairs = [(ua, ua), (ub, ub), (ua, ub), (ub, ua)][:depth]
+    return [left for left, _ in pairs], [right.conj().T for _, right in pairs]
+
+
+def reference_products(frames, left, right, w):
     """The kick's products without the row bound: every row and column, then the flush."""
-    return [_flush_tiny(left[:, w:] @ f[w:, w:] @ right[w:, :]) for f, (left, right, _, _) in zip(frames, factors)]
+    return [_flush_tiny(left[i][:, w:] @ frames[i][w:, w:] @ right[i][w:, :]) for i in range(len(frames))]
 
 
-def first_reached(factors, w):
+def first_reached(abs_left, w):
     """The first row in which some column w ... of a left factor (U's frames) is nonzero."""
-    return min(int(np.argmax(np.any(left[:, w:] != 0, axis=1))) for left, _, _, _ in factors)
+    return min(int(np.argmax(np.any(abs_left[i][:, w:] != 0, axis=1))) for i in range(len(abs_left)))
 
 
 class TestParityBlocks:
@@ -495,22 +503,29 @@ class TestParityBlocks:
         frame is exactly zero outside its window [w:, w:].  Where the bound
         skips, it skips more than the rows U's frames do not reach."""
         bound = quantum._surviving_from
+        rho0 = make_rho()
+        flo = build_floquet(rho0.size, k, 2.6, paper_train)
+        top = max(np.abs(f).max() for f in flo.frames)
         seen = []
 
-        def checked(frames, factors, w):
+        def checked(frames, abs_left, abs_right, w):
             assert not any(np.any(f[:w]) or np.any(f[:, :w]) for f in frames)
-            rr = bound(frames, factors, w)
+            left, right = factor_stacks(flo, len(frames))
+            # The bound is handed top |left i| and top |right i| for each frame i.
+            for i in range(len(frames)):
+                assert np.array_equal(abs_left[i], top * np.abs(left[i]))
+                assert np.array_equal(abs_right[i], top * np.abs(right[i]))
+            rr = bound(frames, abs_left, abs_right, w)
             nonzero = np.zeros(len(frames[0]), bool)
-            for p in reference_products(frames, factors, w):
+            for p in reference_products(frames, left, right, w):
                 assert not np.any(p[:rr]) and not np.any(p[:, :rr])
                 nonzero |= np.any(p != 0, axis=0) | np.any(p != 0, axis=1)
             assert rr <= int(np.argmax(nonzero))
-            seen.append((min(first_reached(factors, w), w), rr))
+            seen.append((min(first_reached(abs_left, w), w), rr))
             return rr
 
         monkeypatch.setattr(quantum, "_surviving_from", checked)
-        rho0 = make_rho()
-        evolve_density(rho0, build_floquet(rho0.size, k, 2.6, paper_train), 0.0187, 12)
+        evolve_density(rho0, flo, 0.0187, 12)
         assert len(seen) == 12
         if skips:
             assert any(rr > r for r, rr in seen)
@@ -527,8 +542,8 @@ class TestParityBlocks:
         for cut in (quantum._FLUSH_BELOW, 1e-90):
             rows = []
 
-            def counted(frames, factors, w):
-                rr = bound(frames, factors, w)
+            def counted(frames, abs_left, abs_right, w):
+                rr = bound(frames, abs_left, abs_right, w)
                 rows.append(len(frames[0]) - rr)
                 return rr
 
