@@ -386,16 +386,17 @@ def evolve_density(
     if outside:
         raise ParameterError(f"checkpoint kicks {outside} lie outside [0, {n_kicks}]")
     h = floquet.size // 2
-    frames = np.array(_fold(rho0.matrix))
+    folded = _fold(rho0.matrix)
     # Neither the cycle nor the channel creates even-odd coherence: without any, the stack is [ee, oo].
-    depth = 4 if np.any(frames[2:]) else 2
-    frames = np.array(frames[:depth])
+    depth = 4 if np.any(folded[2]) or np.any(folded[3]) else 2
+    frames = np.array(folded[:depth])
     ua, ub = floquet.frames
     left = np.array((ua, ub, ua, ub)[:depth])
     right = np.array((ua, ub, ub, ua)[:depth]).conj().transpose(0, 2, 1)
-    top = np.abs(left).max()
-    abs_left, abs_right = np.abs(left) * top, np.abs(right) * top
-    signs = np.array([[1.0], [-1.0]])[:depth // 2]
+    abs_left, abs_right = np.abs(left), np.abs(right)
+    top = abs_left.max()
+    abs_left *= top
+    abs_right *= top
     pops = np.empty((n_kicks + 1, 2 * h))
     checks = {}
     w = 0
@@ -410,10 +411,11 @@ def evolve_density(
             w = rr
             if eta > 0.0:
                 w = max(w - 1, 0)
-                _channel(frames[0::2], frames[1::2], eta, w, signs)
-        # diag(rho) at j and at its mirror N - j: s +- c, with s = (ee + oo)/2 and c = (eo + oe)/2 in the frame.
+                _channel(frames[0::2], frames[1::2], eta, w, np.array([[1.0], [-1.0]])[:depth // 2])
+        # diag(rho) at j and at its mirror N - j: s +- c, with s = (ee + oo)/2 and c = (eo + oe)/2
+        # in the frame; c is the sum of no rows, zeros, at depth 2.
         diagonals = frames.diagonal(axis1=1, axis2=2).real
-        s, c = 0.5 * (diagonals[0] + diagonals[1]), 0.5 * (diagonals[2:].sum(axis=0))
+        s, c = 0.5 * (diagonals[0] + diagonals[1]), 0.5 * diagonals[2:].sum(axis=0)
         pops[kick, :h + 1] = s + c
         pops[kick, h + 1:] = (s - c)[h - 1:0:-1]
         if kick in checkpoint_kicks:
