@@ -385,7 +385,7 @@ def apply_decoherence(rho: DensityMatrix, eta: float) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def factor_stacks(flo, depth):
+def frame_factors(flo, depth):
     """The factors of frame i, for i < depth: left[i] U's frame and right[i] the
     conjugate transpose of one, in the frame order [ee, oo, eo, oe]."""
     ua, ub = flo.frames
@@ -510,7 +510,7 @@ class TestParityBlocks:
 
         def checked(frames, abs_left, abs_right, w):
             assert not any(np.any(f[:w]) or np.any(f[:, :w]) for f in frames)
-            left, right = factor_stacks(flo, len(frames))
+            left, right = frame_factors(flo, len(frames))
             # The bound is handed top |left i| and top |right i| for each frame i.
             for i in range(len(frames)):
                 assert np.array_equal(abs_left[i], top * np.abs(left[i]))
