@@ -87,7 +87,7 @@ class StatisticsError(RuntimeError):
 
 @dataclass
 class ClassicalEnsemble:
-    """Arrays of (phi, rho) trajectory pairs; phi kept in [0, 2*pi)."""
+    """Arrays of (phi, rho) trajectory pairs, phi stored as given (evolve_ensemble wraps it into [0, 2*pi))."""
 
     phi: np.ndarray
     rho: np.ndarray

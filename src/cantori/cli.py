@@ -12,6 +12,10 @@ Unreadable config text (not UTF-8, or not INI) is refused like a bad value.
 A [physical] section whose Rabi frequency exceeds 10% of the smallest detuning
 is used, with one "warning: [physical] ..." line on stderr once the whole
 config has passed its checks; a refused config prints only its error line.
+A quantum scenario whose population reached the momentum-ladder edge by more
+than quantum.EDGE_TOL at any eta, where the periodic wrap is unphysical, ends
+with one "warning: [params] basis_size = N: ..." line on stderr once its
+files are written; the run still exits 0.
 
 A scenario computes and writes nothing: it is a generator of its RunConfig
 that yields one (name, templates, data, header) table per output file.
@@ -369,6 +373,14 @@ def _quantum_start(p: SimParams) -> tuple[quantum.DensityMatrix, quantum.Floquet
     return rho0, quantum.build_floquet(p.basis_size, p.kick_strength, p.scaled_planck, p.pulse_train())
 
 
+def _warn_edge(p: SimParams, edge_max: float) -> None:
+    """One stderr line when a quantum run's largest ladder-edge population exceeds quantum.EDGE_TOL."""
+    if edge_max > quantum.EDGE_TOL:
+        print(f"warning: [params] basis_size = {p.basis_size}: a population of {edge_max:.3g} reached the "
+              f"momentum-ladder edge, above {quantum.EDGE_TOL:g}; the periodic wrap there is unphysical",
+              file=sys.stderr)
+
+
 def _scenario_transport(cfg: RunConfig):
     p = cfg.params
     boundary = cfg.options["boundary_over_pi"] * np.pi
@@ -378,9 +390,10 @@ def _scenario_transport(cfg: RunConfig):
            f"classical fraction outside |rho|={boundary:.6g}, k={p.kick_strength}\nkick fraction_outside")
 
     rho0, floquet = _quantum_start(p)
-    index = "classical classical.dat\n"
+    index, edge_max = "classical classical.dat\n", 0.0
     for eta in cfg.options["eta_values"]:
         qrec = quantum.evolve_density(rho0, floquet, eta, p.n_kicks)
+        edge_max = max(edge_max, qrec.edge_population_max)
         qcurve = analysis.transport_curve_quantum(qrec, p.scaled_planck, boundary)
         name = f"quantum_eta_{eta:g}.dat"
         yield (name, *_table(qcurve.kicks, qcurve.fraction_outside),
@@ -388,6 +401,7 @@ def _scenario_transport(cfg: RunConfig):
                "kick fraction_outside")
         index += f"{eta:g} {name}\n"
     yield "index.dat", [(0, index)], (), "eta file"
+    _warn_edge(p, edge_max)
 
 
 def _scenario_waterfall(cfg: RunConfig):
@@ -401,6 +415,7 @@ def _scenario_waterfall(cfg: RunConfig):
     yield ("waterfall.dat", _templates(blocks, len(xs)), rec.populations.ravel(),
            f"momentum distributions, k={p.kick_strength}, eta={p.se_probability:g}\n"
            "kick rho_over_pi population  (blank line between kicks)")
+    _warn_edge(p, rec.edge_population_max)
 
 
 def _scenario_poincare(cfg: RunConfig):
@@ -423,9 +438,10 @@ def _scenario_wigner(cfg: RunConfig):
     xs, ps = (["%.10g" % v for v in axis.tolist()] for axis in wigner.coarse_axes(p.basis_size, p.scaled_planck))
     column = "".join(f"\n {q} %.10g" for q in ps)
     templates = _templates([column.replace("\n", "\n" + x) for x in xs], len(ps))
-    summary, negativities = "", []
+    summary, negativities, edge_max = "", [], 0.0
     for eta in cfg.options["eta_values"]:
         rec = quantum.evolve_density(rho0, floquet, eta, max(checkpoints), checkpoints)
+        edge_max = max(edge_max, rec.edge_population_max)
         for kick in checkpoints:
             coarse = wigner.coarse_wigner(rec.checkpoints[kick], p.scaled_planck)
             name = f"wigner_eta_{eta:g}_kick_{kick}.dat"
@@ -434,6 +450,7 @@ def _scenario_wigner(cfg: RunConfig):
             negativities.append(wigner.coarse_negativity(coarse, p.scaled_planck))
             summary += f"{eta:g} {kick} %.10g {name}\n"
     yield "negativity.dat", [(len(negativities), summary)], negativities, "eta kick negativity_volume file"
+    _warn_edge(p, edge_max)
 
 
 def _scenario_flux(cfg: RunConfig):

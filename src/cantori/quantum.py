@@ -20,14 +20,15 @@ N/2 - 1 symmetric pair states and e_(N/2); the odd sector the N/2 - 1
 antisymmetric ones.  _fold takes a matrix into its parity blocks, held in
 (N/2 + 1)^2 frames, with four slice sums; _unfold takes them back.  The
 Floquet operator is built block by block in these sectors, never as a dense
-matrix, and holds only its two parity frames, prepared once for the kick loop.
+matrix, and holds only its two parity frames, flushed once where it is built.
 evolve_density keeps rho in its parity frames from the first kick to the last,
 as one stack: [ee, oo], depth 2, when the state has no even-odd coherence
 (every thermal state), and [ee, oo, eo, oe], depth 4, when it has.  Each kick
 conjugates the whole stack in one batched product, a quarter of the dense N^3
-work at depth 2, applies the channel in one call to its pairs (ee, oo) and
-(eo, oe), reads the populations from the stacked diagonals, and returns to the
-momentum basis only for the checkpoints.  After each kick the frame
+work at depth 2, by U's frames with their fixed-point index halved, applies
+the channel in one call to its pairs (ee, oo) and (eo, oe), reads the
+populations from the stacked diagonals, and returns to the momentum basis only
+for the checkpoints.  After each kick the frame
 entries below eps^2 are flushed to zero (see _FLUSH_BELOW), and of each kick's
 product only the trailing window of rows and columns that may survive the
 flush is computed (see _surviving_from and evolve_density).
@@ -43,6 +44,9 @@ from .model import ParameterError, PulseTrain
 
 TRACE_TOL = 1e-12
 UNITARITY_TOL = 1e-10
+# A population above EDGE_TOL on the ladder edges, where the periodic wrap is unphysical, marks
+# a basis too small for the run (see EvolutionRecord.edge_population_max).
+EDGE_TOL = 1e-4
 
 
 def momentum_ladder(N: int) -> np.ndarray:
@@ -89,12 +93,9 @@ def thermal_weights(N: int, hbar_k: float, sigma: float) -> np.ndarray:
 
 class FloquetOperator:
     """Single-cycle unitary U in the momentum eigenbasis, held as complex
-    copies of its two (N/2 + 1)^2 parity frames (ee, oo) (see _fold), which
-    evolve_density multiplies by; frames that are not square, of one shape
-    and finite are refused.  The copies are flushed below _FLUSH_BELOW, and
-    their fixed-point columns halved: U's frames carry sqrt(2) on the
-    fixed-point rows and columns, as rho's do, and in the product U rho U^dag
-    the columns must lose it.  .matrix rebuilds the dense U from them.
+    copies of its two (N/2 + 1)^2 parity frames (ee, oo), exactly as _fold
+    defines them, flushed below _FLUSH_BELOW; frames that are not square, of
+    one shape and finite are refused.  .matrix rebuilds the dense U from them.
     """
 
     def __init__(self, ee: np.ndarray, oo: np.ndarray):
@@ -104,17 +105,12 @@ class FloquetOperator:
         if not (np.isfinite(ee).all() and np.isfinite(oo).all()):
             raise ParameterError("Floquet operator is not finite: its parity frames hold NaN or inf")
         self.size = 2 * len(ee) - 2
-        for f in (ee, oo):
-            _flush_tiny(f)
-            f[:, [0, -1]] *= 0.5
-        self.frames = (ee, oo)
+        self.frames = (_flush_tiny(ee), _flush_tiny(oo))
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense U, fixed-point columns doubled back."""
-        twos = np.ones(self.size // 2 + 1)
-        twos[[0, -1]] = 2.0
-        return _unfold([f * twos for f in self.frames])
+        """The dense U."""
+        return _unfold(self.frames)
 
     def unitarity_defect(self) -> float:
         u = self.matrix
@@ -237,10 +233,10 @@ def _surviving_from(frames: np.ndarray, abs_left: np.ndarray, abs_right: np.ndar
     Below that, every computed entry, rounding included, is at most
     (1 + n*eps) b < _FLUSH_BELOW in modulus, so _flush_tiny would zero both of
     its parts.  A row or column that no column of U's frames from w on
-    reaches has a bound of exactly 0.  The nonzero entries of U's flushed
-    frames are at least _FLUSH_BELOW / 2 (about 2.5e-32; the fixed-point
-    columns are halved), so b does not underflow; a term that did would move
-    it by some 1e-320, far inside the factor 2 margin.
+    reaches has a bound of exactly 0.  The nonzero entries of the factors,
+    U's flushed frames with the fixed-point index halved, are at least
+    _FLUSH_BELOW / 2 (about 2.5e-32), so b does not underflow; a term that did
+    would move it by some 1e-320, far inside the factor 2 margin.
     """
     parts = np.abs(frames[:, w:, w:].view(np.float64))
     sums = parts[..., ::2] + parts[..., 1::2]
@@ -354,13 +350,16 @@ def evolve_density(
     rho stays in its parity frames (see _fold), held as one stack of depth 2,
     [ee, oo], or of depth 4, [ee, oo, eo, oe], when rho0 has even-odd
     coherence; neither the cycle nor the channel creates any.  The cycle
-    conjugates frame i by the operator's prepared frames (see FloquetOperator):
+    conjugates frame i by the operator's frames ua, ub (see FloquetOperator):
     left[i] @ frame @ right[i], with left = (ua, ub, ua, ub) and right the
     conjugate transposes of (ua, ub, ub, ua), cut to the stack's depth, all in
-    one batched product.  The channel acts on the stack's pairs (ee, oo) and
-    (eo, oe) in one call (see _channel), the populations are read from the
-    stacked diagonals, and the frames are unfolded into the momentum basis only
-    at the requested checkpoints.
+    one batched product.  U's frames carry sqrt(2) on the fixed-point rows and
+    columns, as rho's do (see _fold), and in U rho U^dag the summed index must
+    lose it: so the fixed-point columns of left and rows of right are halved.
+    The channel acts on the stack's pairs (ee, oo) and (eo, oe) in one call
+    (see _channel), the populations are read from the stacked diagonals, and
+    the frames are unfolded into the momentum basis only at the requested
+    checkpoints.
 
     Each kick works on the trailing [w:, w:] window of the frames, outside
     which every entry is an exact zero; w is 0 before the first kick.  Only
@@ -391,8 +390,10 @@ def evolve_density(
     depth = 4 if np.any(folded[2]) or np.any(folded[3]) else 2
     frames = np.array(folded[:depth])
     ua, ub = floquet.frames
-    left = np.array((ua, ub, ua, ub)[:depth])
-    right = np.array((ua, ub, ub, ua)[:depth]).conj().transpose(0, 2, 1)
+    left, right = np.array((ua, ub, ua, ub)[:depth]), np.array((ua, ub, ub, ua)[:depth]).conj()
+    for f in (left, right):
+        f[..., [0, -1]] *= 0.5
+    right = right.transpose(0, 2, 1)
     abs_left, abs_right = np.abs(left), np.abs(right)
     top = abs_left.max()
     abs_left *= top
@@ -403,10 +404,9 @@ def evolve_density(
     for kick in range(n_kicks + 1):
         if kick:
             rr = _surviving_from(frames, abs_left, abs_right, w)
-            r = min(rr, w)
             product = _flush_tiny(left[:, rr:, w:] @ frames[:, w:, w:] @ right[:, w:, rr:])
-            frames[:, r:rr, r:] = 0.0
-            frames[:, rr:, r:rr] = 0.0
+            frames[:, w:rr, w:] = 0.0
+            frames[:, rr:, w:rr] = 0.0
             frames[:, rr:, rr:] = product
             w = rr
             if eta > 0.0:

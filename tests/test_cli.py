@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -459,7 +460,9 @@ class TestMain:
              "error: invalid config: Floquet operator is not finite: its parity frames hold NaN or inf"),
             ("wigner", "scaled_planck = 2.6", "scaled_planck = 1e308", 2, 2,
              "error: invalid config: [params] (basis_size/2 * scaled_planck)^2 is not finite: edge momentum inf"),
-            ("waterfall", "init_momentum_sigma = 10.0", "init_momentum_sigma = 1e300", 0, 0, None),
+            ("waterfall", "init_momentum_sigma = 10.0", "init_momentum_sigma = 1e300", 0, 0,
+             "warning: [params] basis_size = 16: a population of 0.0625 reached the momentum-ladder edge, "
+             "above 0.0001; the periodic wrap there is unphysical"),
             # 20,000 seeds and flux's default 100,000 run on the pool's workers.
             ("poincare", "n_seeds = 60\nn_kicks = 300\nrho_max_over_pi = 16",
              "n_seeds = 20000\nn_kicks = 300\nrho_max_over_pi = 1e300", 0, 3,
@@ -474,17 +477,35 @@ class TestMain:
         """Configs that once ran into NaN data, an OverflowError or NumPy warnings.
         Each is refused with exit 2 (at validate, or where the Floquet operator is
         built) or 3 (by the classical runner's finiteness check), with one stderr
-        line and no run directory, or runs to finite data with nothing on stderr:
-        sigma = 1e300 squares to inf and gives the uniform mixture."""
+        line and no run directory, or runs to finite data: sigma = 1e300 squares
+        to inf and gives the uniform mixture, whose 1/16 on each ladder edge the
+        run warns of in one stderr line."""
         path = self.small_config(tmp_path, scenario, old, new)
         assert run_main("validate", str(path))[0] == validate
         assert run_main("run", str(path)) == (code, [err] if err else [])
-        if err:
+        if code:
             assert not (tmp_path / "runs").exists() or list((tmp_path / "runs").iterdir()) == []
             return
         (run,) = (tmp_path / "runs").iterdir()
         pops = np.loadtxt(run / "waterfall.dat")[:, 2]
         np.testing.assert_allclose(pops, 1 / 16, rtol=1e-12)
+
+    def test_population_at_the_ladder_edge_warns_in_one_line(self, tmp_path):
+        """Transport at k = 3000 on N = 128 carries population to the ladder edge, where the
+        periodic wrap is unphysical: the run ends with its files written, exit 0 and one
+        stderr line naming basis_size."""
+        runs = tmp_path / "runs"
+        path = tmp_path / "c.ini"
+        path.write_text(mutated_config("transport", [(("params", "basis_size"), "128"), (("params", "n_kicks"), "70"),
+                                                     (("params", "kick_strength"), "3000")], runs))
+        assert run_main("validate", str(path)) == (0, [])
+        assert run_main("run", str(path)) == (0, [
+            "warning: [params] basis_size = 128: a population of 0.00695 reached the momentum-ladder edge, "
+            "above 0.0001; the periodic wrap there is unphysical"])
+        (run,) = runs.iterdir()
+        assert sorted(json.loads((run / "manifest.json").read_text())["files"]) == [
+            "classical.dat", "config.ini", "index.dat", "quantum_eta_0.0187.dat", "quantum_eta_0.0503.dat",
+            "quantum_eta_0.dat"]
 
     @pytest.mark.parametrize(
         "scenario,target,bad,name",
@@ -676,6 +697,11 @@ def mutated_config(scenario: str, changes: list, output_dir: Path) -> str:
     return text.getvalue()
 
 
+# The one stderr line of a quantum run whose population reached the ladder edge (see cli._warn_edge).
+EDGE_WARNING = re.compile(r"warning: \[params\] basis_size = (\d+): a population of (\S+) reached the "
+                          r"momentum-ladder edge, above 0\.0001; the periodic wrap there is unphysical")
+
+
 def non_finite_numbers(path) -> list[str]:
     """The words of the data lines of path that parse as a NaN or an infinity."""
     found = []
@@ -693,7 +719,9 @@ class TestMutatedConfigs:
     @given(mutations())
     def test_every_config_ends_cleanly(self, mutation):
         """validate exits 0 or 2 with at most one stderr line; a config that validates runs
-        to exit 0 with finite data files, or ends with exit 2, 3 or 4, one line and no run directory."""
+        to exit 0 with finite data files, or ends with exit 2, 3 or 4, one line and no run directory.
+        A quantum run that exits 0 prints nothing, or the one ladder-edge warning for its basis
+        size and a population above quantum.EDGE_TOL; a classical run prints nothing."""
         with tempfile.TemporaryDirectory() as tmp:
             runs = Path(tmp) / "runs"
             path = Path(tmp) / "c.ini"
@@ -707,7 +735,12 @@ class TestMutatedConfigs:
                 assert code in (2, 3, 4) and len(err) == 1, (code, err)
                 assert not runs.exists() or not any(runs.iterdir())
                 return
-            assert err == []
+            if err:
+                (line,) = err
+                match = EDGE_WARNING.fullmatch(line)
+                assert mutation[0] in ("transport", "waterfall", "wigner") and match, err
+                assert int(match[1]) == parse_config(path.read_text()).params.basis_size
+                assert float(match[2]) > quantum.EDGE_TOL
             (run,) = runs.iterdir()
             for data in run.glob("*.dat"):
                 assert not non_finite_numbers(data), data.name

@@ -387,8 +387,11 @@ def apply_decoherence(rho: DensityMatrix, eta: float) -> DensityMatrix:
 
 def frame_factors(flo, depth):
     """The factors of frame i, for i < depth: left[i] U's frame and right[i] the
-    conjugate transpose of one, in the frame order [ee, oo, eo, oe]."""
-    ua, ub = flo.frames
+    conjugate transpose of one, in the frame order [ee, oo, eo, oe], each of U's
+    frames with its fixed-point columns halved, as the kick loop does."""
+    halves = np.ones(flo.size // 2 + 1)
+    halves[[0, -1]] = 0.5
+    ua, ub = (f * halves for f in flo.frames)
     pairs = [(ua, ua), (ub, ub), (ua, ub), (ub, ua)][:depth]
     return [left for left, _ in pairs], [right.conj().T for _, right in pairs]
 
@@ -505,7 +508,7 @@ class TestParityBlocks:
         bound = quantum._surviving_from
         rho0 = make_rho()
         flo = build_floquet(rho0.size, k, 2.6, paper_train)
-        top = max(np.abs(f).max() for f in flo.frames)
+        top = max(np.abs(f).max() for f in frame_factors(flo, 2)[0])
         seen = []
 
         def checked(frames, abs_left, abs_right, w):
@@ -591,8 +594,22 @@ class TestParityBlocks:
         with pytest.raises(ParameterError, match="not square and of one shape"):
             FloquetOperator(np.zeros(ee, complex), np.zeros(oo, complex))
 
+    @pytest.mark.parametrize("N", [2, 16, 128])
+    def test_operator_holds_the_fold_frames_of_u(self, paper_train, N):
+        """Given U's parity frames, the operator holds them flushed and otherwise as _fold
+        defines them, bit for bit, and .matrix is U."""
+        u = build_floquet(N, 40.0, 2.6, paper_train).matrix
+        frames = _fold(u)[:2]
+        flo = FloquetOperator(*frames)
+        for held, given in zip(flo.frames, frames):
+            assert np.array_equal(held, _flush_tiny(given.copy()))
+        np.testing.assert_allclose(flo.matrix, u, rtol=0, atol=1e-15)
+        # A U of exact entries, the swap of the ladder edge with n = 0, comes back bit for bit.
+        swap = np.eye(N, dtype=complex)[np.roll(np.arange(N), N // 2)]
+        assert np.array_equal(FloquetOperator(*_fold(swap)[:2]).matrix, swap)
+
     def test_callers_frames_are_left_unmodified(self, paper_train):
-        """The operator flushes and halves copies of the frames it is given."""
+        """The operator flushes copies of the frames it is given."""
         ee, oo = _fold(build_floquet(16, 40.0, 2.6, paper_train).matrix)[:2]
         ee[2, 5] = oo[3, 6] = 1e-40
         given = ee.copy(), oo.copy()
