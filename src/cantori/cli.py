@@ -192,6 +192,14 @@ def _finite(text: str) -> float:
     return value + 0.0      # -0.0 becomes 0.0, so both spellings give one value and one text
 
 
+def _over_pi(text: str) -> float:
+    """A length in units of pi: the scenario multiplies it by pi, so that product must be finite too."""
+    value = _finite(text)
+    if not math.isfinite(value * math.pi):
+        raise ValueError("its product with pi is not finite")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(_finite(x) for x in text.replace(",", " ").split())
 
@@ -468,7 +476,7 @@ SCENARIOS = {
     "transport": Scenario(
         _scenario_transport,
         "fraction outside the KAM boundary vs kick number, classical + quantum eta sweep",
-        {"eta_values": Option(_etas, "{se_probability}"), "boundary_over_pi": Option(_finite, "10")},
+        {"eta_values": Option(_etas, "{se_probability}"), "boundary_over_pi": Option(_over_pi, "10")},
     ),
     "waterfall": Scenario(
         _scenario_waterfall,
@@ -479,7 +487,7 @@ SCENARIOS = {
         _scenario_poincare,
         "stroboscopic phase-space section of the classical map",
         {"n_seeds": Option(_positive_int, "60"), "n_kicks": Option(_nonnegative_int, "300"),
-         "rho_max_over_pi": Option(_finite, "16")},
+         "rho_max_over_pi": Option(_over_pi, "16")},
     ),
     "wigner": Scenario(
         _scenario_wigner,
@@ -489,7 +497,7 @@ SCENARIOS = {
     "flux": Scenario(
         _scenario_flux,
         "classical phase-space flux through the KAM boundary",
-        {"boundary_over_pi": Option(_finite, "10"), "n_seeds": Option(_positive_int, "100000"),
+        {"boundary_over_pi": Option(_over_pi, "10"), "n_seeds": Option(_positive_int, "100000"),
          "n_replicates": Option(_positive_int, "8")},
     ),
 }

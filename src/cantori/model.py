@@ -2,8 +2,9 @@
 
 Converts laboratory parameters (Rabi frequency, detunings, pulse period) to
 the two dimensionless numbers that control the dynamics: the kick strength k
-and the scaled Planck constant hbar_k.  Also holds the pulse-train schedule
-and the Fourier coefficients of the pulse train.
+and the scaled Planck constant hbar_k.  Also holds the pulse-train schedule.
+The train's Fourier coefficients, whose zeros are the missing resonances of
+the double-pulse drive, are a reference in the tests (tests/conftest.py).
 
 Dimensionless variables: phi = 2 k_L x, rho = (2 k_L T / M) p_x, tau = t / T.
 The one-cycle Hamiltonian is H = rho^2/2 - k cos(phi) f(tau) with f the
@@ -181,27 +182,3 @@ def build_pulse_train(alpha, delta) -> PulseTrain:
     pad = (1 - alpha - delta) / 2
     pulses = [(2 * alpha, True)] if alpha == delta else [(alpha, True), (delta - alpha, False), (alpha, True)]
     return PulseTrain(tuple([(pad, False), *pulses, (pad, False)] if pad else pulses))
-
-
-def _sinc(x: float) -> float:
-    return 1.0 if x == 0.0 else math.sin(x) / x
-
-
-def fourier_coefficient(m: int, alpha=Fraction(1, 20), delta=Fraction(1, 10)) -> float:
-    """Cosine-series coefficient a_m of the double-pulse profile.
-
-    With the time origin at the midpoint between the two pulses (centers at
-    +-delta/2), f(tau) = sum_m a_m cos(2 pi m tau) with
-
-        a_m = 2 alpha sinc(m pi alpha) cos(m pi delta),  sinc(x) = sin(x)/x.
-
-    The m-th term drives the primary resonance at rho = 2 pi m.
-    """
-    a, d = Fraction(alpha), Fraction(delta)
-    # Exact zeros: cos(m pi delta) vanishes when m*delta is a half-integer,
-    # sinc(m pi alpha) when m*alpha is a nonzero integer.
-    if (m * d - Fraction(1, 2)) % 1 == 0:
-        return 0.0
-    if m != 0 and (m * a) % 1 == 0:
-        return 0.0
-    return 2.0 * float(a) * _sinc(m * math.pi * float(a)) * math.cos(m * math.pi * float(d))

@@ -37,11 +37,9 @@ from .quantum import DensityMatrix
 
 @dataclass
 class WignerGrid:
-    """2N x 2N phase-space grid; values[il, ik] with x along axis 1."""
+    """2N x 2N phase-space grid; values[il, ik] at momentum P_l (axis 0) and angle X_k (axis 1)."""
 
     values: np.ndarray       # (2N, 2N) real
-    x: np.ndarray            # (2N,) angles X_k = pi*k/N
-    p: np.ndarray            # (2N,) momenta P_l = (hbar_k/2)*l, l = -N ... N-1
     hbar_k: float
 
 
@@ -90,7 +88,7 @@ def toroidal_wigner(rho: DensityMatrix, hbar_k: float) -> WignerGrid:
 
     w = np.fft.ifft(g, axis=0)
     w *= two_n
-    return WignerGrid(_checked_real(w), *_axes(N, hbar_k), hbar_k)
+    return WignerGrid(_checked_real(w), hbar_k)
 
 
 # Values of a per gathered block of the pair sum: 2 * _BLOCK rows of N values, a buffer

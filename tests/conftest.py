@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -55,3 +58,27 @@ def fourier_integral_oracle(m, alpha=1 / 20, delta=1 / 10):
             tau = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
             total += 0.5 * (hi - lo) * np.sum(weights * np.cos(2.0 * np.pi * m * tau))
     return float(total)
+
+
+def _sinc(x: float) -> float:
+    return 1.0 if x == 0.0 else math.sin(x) / x
+
+
+def fourier_coefficient(m: int, alpha=Fraction(1, 20), delta=Fraction(1, 10)) -> float:
+    """Cosine-series coefficient a_m of the double-pulse profile.
+
+    With the time origin at the midpoint between the two pulses (centers at
+    +-delta/2), f(tau) = sum_m a_m cos(2 pi m tau) with
+
+        a_m = 2 alpha sinc(m pi alpha) cos(m pi delta),  sinc(x) = sin(x)/x.
+
+    The m-th term drives the primary resonance at rho = 2 pi m.
+    """
+    a, d = Fraction(alpha), Fraction(delta)
+    # Exact zeros: cos(m pi delta) vanishes when m*delta is a half-integer,
+    # sinc(m pi alpha) when m*alpha is a nonzero integer.
+    if (m * d - Fraction(1, 2)) % 1 == 0:
+        return 0.0
+    if m != 0 and (m * a) % 1 == 0:
+        return 0.0
+    return 2.0 * float(a) * _sinc(m * math.pi * float(a)) * math.cos(m * math.pi * float(d))

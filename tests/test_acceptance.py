@@ -9,10 +9,10 @@ import pytest
 
 from cantori.analysis import fraction_outside_quantum, transport_curve_classical
 from cantori.classical import cantorus_flux, evolve_ensemble, thermal_ensemble
-from cantori.model import SimParams, fourier_coefficient
+from cantori.model import SimParams
 from cantori.quantum import DensityMatrix, build_floquet, evolve_density, momentum_ladder
 from cantori.wigner import negativity_volume, toroidal_wigner
-from conftest import fourier_integral_oracle, one_cycle
+from conftest import fourier_coefficient, fourier_integral_oracle, one_cycle
 
 BOUNDARY = 10.0 * np.pi
 HBAR_K = 2.6

@@ -469,9 +469,14 @@ class TestMain:
              "error: compute failed in scenario poincare: non-finite phase-space input"),
             ("flux", "kick_strength = 270", "kick_strength = 5e-324", 0, 3,
              "error: compute failed in scenario flux: non-finite phase-space input"),
+            # Finite in units of pi, but inf once the scenario multiplies by pi.
+            ("flux", "boundary_over_pi = 10\nn_seeds", "boundary_over_pi = 1e308\nn_seeds", 2, 2,
+             "error: invalid config: [flux] boundary_over_pi = 1e308: its product with pi is not finite"),
+            ("poincare", "rho_max_over_pi = 16", "rho_max_over_pi = 1e308", 2, 2,
+             "error: invalid config: [poincare] rho_max_over_pi = 1e308: its product with pi is not finite"),
         ],
         ids=["sigma-underflow", "planck-subnormal", "kick-overflow", "planck-overflow", "sigma-overflow",
-             "poincare-rho-overflow", "flux-kick-subnormal"],
+             "poincare-rho-overflow", "flux-kick-subnormal", "flux-boundary-times-pi", "poincare-rho-times-pi"],
     )
     def test_extreme_values_end_cleanly(self, tmp_path, scenario, old, new, validate, code, err):
         """Configs that once ran into NaN data, an OverflowError or NumPy warnings.
@@ -479,7 +484,8 @@ class TestMain:
         built) or 3 (by the classical runner's finiteness check), with one stderr
         line and no run directory, or runs to finite data: sigma = 1e300 squares
         to inf and gives the uniform mixture, whose 1/16 on each ladder edge the
-        run warns of in one stderr line."""
+        run warns of in one stderr line.  A *_over_pi value whose product with pi
+        is not finite is refused at validate, naming its key."""
         path = self.small_config(tmp_path, scenario, old, new)
         assert run_main("validate", str(path))[0] == validate
         assert run_main("run", str(path)) == (code, [err] if err else [])

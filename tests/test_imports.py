@@ -1,6 +1,6 @@
 """Imports: every name a module of cantori imports is used there, every
-private name it defines is used there, every public name it defines is used
-outside the unit tests, every dataclass field is read somewhere, and SciPy
+private name it defines is used there, every public name it defines and
+every dataclass field it declares is used outside the tests, and SciPy
 loads only with the elliptic classical backend.
 
 No linter runs on this code, so four tests stand in for one.  The first
@@ -11,11 +11,14 @@ name is imported from the module that defines it.  The second fails on any
 top-level private function, class or variable of a module that the module
 itself never loads.  The third fails on any top-level public name, and any
 public method, property or classmethod of a top-level class, that no file in
-src/, perfbench/ or tests/test_acceptance.py loads: a name only the unit
-tests use belongs in them.  The fourth fails on any annotated field of
-a dataclass in cantori whose name no attribute access in src/, tests/ or
-perfbench/ loads.  The SciPy checks run in a fresh interpreter each, since
-this one has imported SciPy long before.
+src/ or perfbench/ loads.  The fourth fails on any annotated field of a
+dataclass in cantori whose name no attribute access in src/ or perfbench/
+loads.  Neither counts a test as a user: code that only the tests, the
+acceptance criteria among them, call or read belongs in the tests, beside
+the checks that use it as their reference.  The SciPy checks run in a fresh
+interpreter each, since this one has imported SciPy long before.  One more
+test stands in for a check of the suite's own settings: under pyproject.toml's
+warning filters, a failing property test is reported and the session goes on.
 """
 
 import ast
@@ -77,9 +80,9 @@ def test_no_unused_private_names(path):
 def test_every_public_name_is_used():
     """Every module-level public name of cantori is loaded, as a name, as an attribute or by a
     from-import, and every public method, property or classmethod of a module-level class is
-    loaded as an attribute, somewhere in src/, perfbench/ or tests/test_acceptance.py."""
+    loaded as an attribute, somewhere in src/ or perfbench/."""
     loaded = set()
-    for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py"), TESTS / "test_acceptance.py"]:
+    for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
@@ -94,13 +97,13 @@ def test_every_public_name_is_used():
                    for item in cls.body if isinstance(item, ast.FunctionDef)}
         unused += [f"{path.name}:{line} {name}" for name, line in {**module_names(tree), **methods}.items()
                    if not any(part.startswith("_") for part in name.split(".")) and name.split(".")[-1] not in loaded]
-    assert not unused, f"public names that only the unit tests use, or nothing: {unused}"
+    assert not unused, f"public names that only the tests use, or nothing: {unused}"
 
 
 def test_every_dataclass_field_is_read():
-    """Every annotated field of a cantori dataclass is loaded as an attribute somewhere."""
+    """Every annotated field of a cantori dataclass is loaded as an attribute somewhere in src/ or perfbench/."""
     read = set()
-    for path in [*SRC.glob("*.py"), *TESTS.glob("*.py"), *PERFBENCH.glob("*.py")]:
+    for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]:
         tree = ast.parse(path.read_text(), filename=str(path))
         read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = []
@@ -114,7 +117,32 @@ def test_every_dataclass_field_is_read():
                     for item in cls.body
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.target.id not in read
                 ]
-    assert not unread, f"dataclass fields that nothing reads: {unread}"
+    assert not unread, f"dataclass fields that only the tests read, or nothing: {unread}"
+
+
+def test_failing_property_test_is_reported(tmp_path):
+    """Under the repository's pytest settings a failing Hypothesis test is reported as one
+    failure and the session goes on: the hypothesis plugin's report hook raises a
+    DeprecationWarning while it reports the failure, which the "error" filter alone turns
+    into an INTERNALERROR that ends the session."""
+    (tmp_path / "test_property.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_passes():
+            pass
+    """))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-c", str(TESTS.parent / "pyproject.toml"),
+                           "-p", "no:cacheprovider", "--rootdir", str(tmp_path), str(tmp_path / "test_property.py")],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=300)
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out, out
+    assert proc.returncode == 1, out
+    assert "1 failed, 1 passed" in proc.stdout, out
 
 
 def run_fresh(script: str, *args: str) -> str:

@@ -12,11 +12,10 @@ from cantori.model import (
     PulseTrain,
     SimParams,
     build_pulse_train,
-    fourier_coefficient,
     physical_to_scaled,
 )
 
-from conftest import double_pulse_profile, fourier_integral_oracle
+from conftest import double_pulse_profile, fourier_coefficient, fourier_integral_oracle
 
 # Caesium D2 constants.
 CS_MASS = 2.2069e-25          # kg
